@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,11 +20,13 @@
 #include "bench/bench_common.h"
 #include "graph/clique.h"
 #include "graph/generators.h"
+#include "io/serialization.h"
 #include "qo/cost_eval.h"
 #include "qo/fast_eval.h"
 #include "qo/optimizers.h"
 #include "qo/qoh.h"
 #include "qo/qon.h"
+#include "qo/workloads.h"
 #include "sat/cdcl.h"
 #include "sat/dpll.h"
 #include "sat/gen.h"
@@ -299,6 +302,46 @@ BENCHMARK(BM_QohNeighborhoodFast)
     ->Arg(10)
     ->Arg(30)
     ->Arg(100)
+    ->Unit(benchmark::kMicrosecond);
+
+// The instance readers on the bodies aqo_serve receives: random
+// workloads as aqo_loadgen writes them.
+void BM_ParseQon(benchmark::State& state) {
+  Rng rng(42);
+  std::ostringstream os;
+  WriteQonInstance(RandomQonWorkload(static_cast<int>(state.range(0)), &rng),
+                   os);
+  const std::string body = os.str();
+  for (auto _ : state) {
+    ParseResult<QonInstance> parsed = ParseQonInstance(body);
+    benchmark::DoNotOptimize(parsed);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(body.size()));
+}
+BENCHMARK(BM_ParseQon)
+    ->Arg(10)
+    ->Arg(20)
+    ->Arg(30)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_ParseQoh(benchmark::State& state) {
+  Rng rng(42);
+  std::ostringstream os;
+  WriteQohInstance(RandomQohWorkload(static_cast<int>(state.range(0)), &rng),
+                   os);
+  const std::string body = os.str();
+  for (auto _ : state) {
+    ParseResult<QohInstance> parsed = ParseQohInstance(body);
+    benchmark::DoNotOptimize(parsed);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(body.size()));
+}
+BENCHMARK(BM_ParseQoh)
+    ->Arg(10)
+    ->Arg(20)
+    ->Arg(30)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_MaxClique(benchmark::State& state) {

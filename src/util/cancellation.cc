@@ -18,13 +18,27 @@ const char* PlanStatusName(PlanStatus status) {
   return "unknown";
 }
 
+std::chrono::steady_clock::time_point DeadlineFromNow(double deadline_ms) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point now = Clock::now();
+  const Clock::rep headroom = (Clock::time_point::max() - now).count();
+  const std::chrono::duration<double, Clock::period> span =
+      std::chrono::duration<double, std::milli>(deadline_ms);
+  // The double compare keeps the cast below defined; the integer one
+  // catches a headroom that rounded up on its way to double.
+  if (!(span.count() < static_cast<double>(headroom))) {
+    return Clock::time_point::max();
+  }
+  const Clock::rep ticks = static_cast<Clock::rep>(span.count());
+  if (ticks >= headroom) return Clock::time_point::max();
+  return now + Clock::duration(ticks);
+}
+
 RunGuard::RunGuard(const Budget& budget, CancelToken* token)
     : max_evaluations_(budget.max_evaluations), token_(token) {
   if (budget.deadline_ms > 0) {
     has_deadline_ = true;
-    deadline_ = std::chrono::steady_clock::now() +
-                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double, std::milli>(budget.deadline_ms));
+    deadline_ = DeadlineFromNow(budget.deadline_ms);
   }
   // A token with nothing armed (no deadline, no stop request) leaves the
   // guard inert so unbudgeted runs stay bit-identical to a null token.

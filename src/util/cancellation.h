@@ -44,6 +44,11 @@ struct Budget {
   bool limited() const { return max_evaluations > 0 || deadline_ms > 0; }
 };
 
+// now + `deadline_ms` (> 0) on the steady clock, saturated at
+// time_point::max() — which never passes — when the sum is out of range
+// (inf, 1e300, anything beyond ~9.2e12 ms).
+std::chrono::steady_clock::time_point DeadlineFromNow(double deadline_ms);
+
 // Shared stop signal, e.g. one per service batch. Arms an absolute
 // wall-clock deadline and/or an explicit stop request; many RunGuards may
 // observe one token concurrently. Copying is disabled — share by pointer.
@@ -53,12 +58,11 @@ class CancelToken {
   CancelToken(const CancelToken&) = delete;
   CancelToken& operator=(const CancelToken&) = delete;
 
-  // Arms a wall-clock deadline `deadline_ms` from now (<= 0 clears it).
+  // Arms a wall-clock deadline `deadline_ms` from now (<= 0 or NaN
+  // clears it; one past the clock's range never passes).
   void ArmDeadline(double deadline_ms) {
     if (deadline_ms > 0) {
-      deadline_ = std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double, std::milli>(deadline_ms));
+      deadline_ = DeadlineFromNow(deadline_ms);
       has_deadline_.store(true, std::memory_order_release);
     } else {
       has_deadline_.store(false, std::memory_order_release);

@@ -1,13 +1,17 @@
 // Tests for the small util pieces: Rng, DynamicBitset, stats, TextTable.
 
 #include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <limits>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "util/bitset.h"
+#include "util/cancellation.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -226,6 +230,60 @@ TEST(Table, PrintsAlignedRows) {
 TEST(Table, FormatHelpers) {
   EXPECT_EQ(FormatDouble(3.14159, 3), "3.14");
   EXPECT_EQ(FormatLog2(123.456, 4), "2^123.5");
+}
+
+// A deadline past the steady clock's range used to overflow the duration
+// cast (undefined behaviour; in practice an already-expired deadline).
+// It now saturates at time_point::max(), which never passes.
+TEST(Cancellation, HugeDeadlinesSaturateAndNeverTrip) {
+  using Clock = std::chrono::steady_clock;
+  for (double ms : {std::numeric_limits<double>::infinity(), 1e300, 1e13}) {
+    EXPECT_EQ(DeadlineFromNow(ms), Clock::time_point::max()) << ms;
+    CancelToken token;
+    token.ArmDeadline(ms);
+    EXPECT_TRUE(token.armed()) << ms;
+    EXPECT_FALSE(token.Expired()) << ms;
+    Budget budget;
+    budget.deadline_ms = ms;
+    RunGuard guard(budget, &token);
+    EXPECT_TRUE(guard.active()) << ms;
+    for (uint64_t evals = 0; evals < 4 * RunGuard::kDeadlinePollStride;
+         evals += 64) {
+      EXPECT_FALSE(guard.ShouldStop(evals)) << ms;
+    }
+    EXPECT_EQ(guard.status(), PlanStatus::kComplete) << ms;
+  }
+  // 1e12 ms (about 31 years) is still in range: a real, finite deadline.
+  Clock::time_point far = DeadlineFromNow(1e12);
+  EXPECT_LT(far, Clock::time_point::max());
+  EXPECT_GT(far, Clock::now() + std::chrono::hours(24 * 365 * 30));
+}
+
+TEST(Cancellation, NanAndNonPositiveDeadlinesStayUnarmed) {
+  for (double ms : {std::nan(""), 0.0, -5.0,
+                    -std::numeric_limits<double>::infinity()}) {
+    CancelToken token;
+    token.ArmDeadline(ms);
+    EXPECT_FALSE(token.armed()) << ms;
+    Budget budget;
+    budget.deadline_ms = ms;
+    EXPECT_FALSE(budget.limited()) << ms;
+    RunGuard guard(budget, &token);
+    EXPECT_FALSE(guard.active()) << ms;
+    EXPECT_FALSE(guard.ShouldStop(uint64_t{1} << 20)) << ms;
+  }
+}
+
+TEST(Cancellation, NormalDeadlineStillTrips) {
+  CancelToken token;
+  token.ArmDeadline(1.0);
+  Budget budget;
+  budget.deadline_ms = 1.0;
+  RunGuard guard(budget, nullptr);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_TRUE(token.Expired());
+  EXPECT_TRUE(guard.ShouldStop(0));
+  EXPECT_EQ(guard.status(), PlanStatus::kDeadlineExceeded);
 }
 
 }  // namespace

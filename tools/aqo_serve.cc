@@ -9,7 +9,10 @@
 //
 // The optional `optimizer=` token selects any registry entry (family-
 // checked, aliases resolved) for that one request; `--optimizer=help`
-// prints both registries' Describe() listings and exits.
+// prints both registries' Describe() listings and exits. Any other
+// header token that is not a number is answered with
+// `err <id> bad request header: <token>`, and the family is read from
+// the body's first non-comment line (io/request.h).
 //
 // and produces exactly one response frame per request:
 //
@@ -48,6 +51,7 @@
 // qo.persist.* for storage, plus --json-out/--trace-out/--latency-table
 // from the shared harness flags.
 
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -56,10 +60,12 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "io/framing.h"
+#include "io/request.h"
 #include "io/serialization.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
@@ -80,12 +86,51 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void HandleStop(int) { g_stop = 1; }
 
-// Formats a double with enough digits to round-trip, so equal bits print
+// Appends a double with enough digits to round-trip, so equal bits print
 // equal bytes (the warm/cold differential depends on this).
-std::string FormatG17(double v) {
+void AppendG17(std::string* out, double v) {
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  int len = std::snprintf(buf, sizeof(buf), "%.17g", v);
+  out->append(buf, static_cast<size_t>(len));
+}
+
+// Appends an integer in decimal, the bytes ostream << prints.
+template <typename Int>
+void AppendInt(std::string* out, Int v) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+// The payload of an `ok` response: the status line, then `seq` (and, for
+// QO_H, `pipelines`) when the plan is feasible.
+template <typename Result>
+std::string FormatOk(const std::string& id, const char* family,
+                     const Result& result, bool degraded,
+                     const std::vector<int>* pipelines) {
+  std::string out = "ok " + id + " " + family + " feasible=";
+  out += result.feasible ? '1' : '0';
+  out += " status=";
+  out += PlanStatusName(result.status);
+  out += " cost_log2=";
+  AppendG17(&out, result.cost.Log2());
+  out += " evaluations=";
+  AppendInt(&out, result.evaluations);
+  if (degraded) out += " degraded=1";
+  if (result.feasible) {
+    out += "\nseq";
+    for (int v : result.sequence) {
+      out += ' ';
+      AppendInt(&out, v);
+    }
+    if (pipelines != nullptr) {
+      out += "\npipelines";
+      for (int v : *pipelines) {
+        out += ' ';
+        AppendInt(&out, v);
+      }
+    }
+  }
+  return out;
 }
 
 struct ServerConfig {
@@ -114,13 +159,18 @@ void LogOverloadDecision(const std::string& id, const OverloadDecision& d,
   }
 }
 
+std::string AdmissionError(const std::string& id, int n, int max_n) {
+  return "err " + id + " admission: n=" + std::to_string(n) +
+         " exceeds --max-n=" + std::to_string(max_n);
+}
+
 // One optimize request: parses, admits, runs a single-instance batch
 // through the shared cache, formats the response payload. A non-empty
 // `optimizer` (the per-request `optimizer=<name>` header token) overrides
 // the configured entry for this request only.
 std::string ServeOptimize(const std::string& id, double deadline_ms,
-                          const std::string& optimizer,
-                          const std::string& body, const ServerConfig& config,
+                          std::string_view optimizer, std::string_view family,
+                          std::string_view body, const ServerConfig& config,
                           PlanCache* cache, ThreadPool* pool,
                           LoadGovernor* governor) {
   static obs::Counter& rejects =
@@ -131,23 +181,13 @@ std::string ServeOptimize(const std::string& id, double deadline_ms,
       obs::Registry::Get().GetCounter("qo.serve.sheds");
   static obs::Counter& degrade_counter =
       obs::Registry::Get().GetCounter("qo.serve.degraded");
-  std::istringstream in(body);
-  std::string family;
-  in >> family;
-  in.seekg(0);
-  std::ostringstream out;
   if (family == "qon") {
-    ParseResult<QonInstance> parsed = ParseQonInstance(in);
-    if (!parsed.ok()) {
-      out << "err " << id << " parse: " << parsed.error;
-      return out.str();
-    }
+    ParseResult<QonInstance> parsed = ParseQonInstance(body);
+    if (!parsed.ok()) return "err " + id + " parse: " + parsed.error;
     const QonInstance& inst = *parsed.value;
     if (config.max_n > 0 && inst.NumRelations() > config.max_n) {
       rejects.Increment();
-      out << "err " << id << " admission: n=" << inst.NumRelations()
-          << " exceeds --max-n=" << config.max_n;
-      return out.str();
+      return AdmissionError(id, inst.NumRelations(), config.max_n);
     }
     BatchOptions options = config.qon_batch;
     options.cache = cache;
@@ -158,9 +198,8 @@ std::string ServeOptimize(const std::string& id, double deadline_ms,
       const auto* entry = OptimizerRegistry::Qon().Find(optimizer);
       if (entry == nullptr) {
         rejects.Increment();
-        out << "err " << id << " optimizer: unknown QO_N entry '" << optimizer
-            << "'";
-        return out.str();
+        return "err " + id + " optimizer: unknown QO_N entry '" +
+               std::string(optimizer) + "'";
       }
       options.optimizer = entry->name;
     }
@@ -176,8 +215,7 @@ std::string ServeOptimize(const std::string& id, double deadline_ms,
       if (d.tier == OverloadTier::kShed) {
         shed_counter.Increment();
         LogOverloadDecision(id, d, options.optimizer, fallback);
-        out << "err " << id << " shed: " << d.reason;
-        return out.str();
+        return "err " + id + " shed: " + d.reason;
       }
       if (d.tier == OverloadTier::kDegrade) {
         degrade_counter.Increment();
@@ -191,29 +229,15 @@ std::string ServeOptimize(const std::string& id, double deadline_ms,
     std::vector<QonBatchItem> items = OptimizeQonBatch({inst}, options);
     const QonBatchItem& item = items.front();
     if (item.from_cache) cache_hits.Increment();
-    out << "ok " << id << " qon feasible=" << (item.result.feasible ? 1 : 0)
-        << " status=" << PlanStatusName(item.result.status)
-        << " cost_log2=" << FormatG17(item.result.cost.Log2())
-        << " evaluations=" << item.result.evaluations;
-    if (degraded) out << " degraded=1";
-    if (item.result.feasible) {
-      out << "\nseq";
-      for (int v : item.result.sequence) out << " " << v;
-    }
-    return out.str();
+    return FormatOk(id, "qon", item.result, degraded, nullptr);
   }
   if (family == "qoh") {
-    ParseResult<QohInstance> parsed = ParseQohInstance(in);
-    if (!parsed.ok()) {
-      out << "err " << id << " parse: " << parsed.error;
-      return out.str();
-    }
+    ParseResult<QohInstance> parsed = ParseQohInstance(body);
+    if (!parsed.ok()) return "err " + id + " parse: " + parsed.error;
     const QohInstance& inst = *parsed.value;
     if (config.max_n > 0 && inst.NumRelations() > config.max_n) {
       rejects.Increment();
-      out << "err " << id << " admission: n=" << inst.NumRelations()
-          << " exceeds --max-n=" << config.max_n;
-      return out.str();
+      return AdmissionError(id, inst.NumRelations(), config.max_n);
     }
     BatchOptions options = config.qoh_batch;
     options.cache = cache;
@@ -223,9 +247,8 @@ std::string ServeOptimize(const std::string& id, double deadline_ms,
       const auto* entry = QohOptimizerRegistry::Get().Find(optimizer);
       if (entry == nullptr) {
         rejects.Increment();
-        out << "err " << id << " optimizer: unknown QO_H entry '" << optimizer
-            << "'";
-        return out.str();
+        return "err " + id + " optimizer: unknown QO_H entry '" +
+               std::string(optimizer) + "'";
       }
       options.optimizer = entry->name;
     }
@@ -241,8 +264,7 @@ std::string ServeOptimize(const std::string& id, double deadline_ms,
       if (d.tier == OverloadTier::kShed) {
         shed_counter.Increment();
         LogOverloadDecision(id, d, options.optimizer, fallback);
-        out << "err " << id << " shed: " << d.reason;
-        return out.str();
+        return "err " + id + " shed: " + d.reason;
       }
       if (d.tier == OverloadTier::kDegrade) {
         degrade_counter.Increment();
@@ -255,22 +277,11 @@ std::string ServeOptimize(const std::string& id, double deadline_ms,
     std::vector<QohBatchItem> items = OptimizeQohBatch({inst}, options);
     const QohBatchItem& item = items.front();
     if (item.from_cache) cache_hits.Increment();
-    out << "ok " << id << " qoh feasible=" << (item.result.feasible ? 1 : 0)
-        << " status=" << PlanStatusName(item.result.status)
-        << " cost_log2=" << FormatG17(item.result.cost.Log2())
-        << " evaluations=" << item.result.evaluations;
-    if (degraded) out << " degraded=1";
-    if (item.result.feasible) {
-      out << "\nseq";
-      for (int v : item.result.sequence) out << " " << v;
-      out << "\npipelines";
-      for (int v : item.result.decomposition.starts) out << " " << v;
-    }
-    return out.str();
+    return FormatOk(id, "qoh", item.result, degraded,
+                    &item.result.decomposition.starts);
   }
-  out << "err " << id << " parse: unknown instance family '" << family
-      << "' (expected qon or qoh)";
-  return out.str();
+  return "err " + id + " parse: unknown instance family '" +
+         std::string(family) + "' (expected qon or qoh)";
 }
 
 int Main(int argc, char** argv) {
@@ -466,31 +477,21 @@ int Main(int argc, char** argv) {
     }
     obs::ScopedLatencyTimer timer(request_us);
     requests.Increment();
-    // First line: "<verb> <id> [deadline_ms]"; the rest is the body.
-    size_t eol = payload.find('\n');
-    std::string head =
-        eol == std::string::npos ? payload : payload.substr(0, eol);
-    std::string body =
-        eol == std::string::npos ? std::string() : payload.substr(eol + 1);
-    std::istringstream header(head);
-    std::string verb, id;
-    header >> verb >> id;
+    // First line: "<verb> <id> [token...]"; the rest is the body
+    // (io/request.h).
+    RequestHeader header = ParseRequestHeader(payload);
+    const std::string_view verb = header.verb;
+    const std::string id(header.id);
     std::string response;
     if (verb == "req" && !id.empty()) {
-      // Optional header tokens after the id: a bare number is a deadline
-      // override, `optimizer=<name>` selects the registry entry for this
-      // request (aqo_loadgen --optimizer= emits it).
-      double deadline_ms = config.default_deadline_ms;
-      std::string optimizer;
-      for (std::string token; header >> token;) {
-        if (token.rfind("optimizer=", 0) == 0) {
-          optimizer = token.substr(10);
-        } else {
-          deadline_ms = std::strtod(token.c_str(), nullptr);
-        }
+      if (!header.error.empty()) {
+        response = "err " + id + " " + header.error;
+      } else {
+        response = ServeOptimize(
+            id, header.deadline_ms.value_or(config.default_deadline_ms),
+            header.optimizer, header.family, header.body, config, &cache,
+            &pool, &governor);
       }
-      response = ServeOptimize(id, deadline_ms, optimizer, body, config,
-                               &cache, &pool, &governor);
       ++served;
       ++since_snapshot;
     } else if (verb == "ping" && !id.empty()) {
@@ -540,7 +541,7 @@ int Main(int argc, char** argv) {
         response = "err " + id + " snapshot: " + store->error();
       }
     } else {
-      response = "err ? bad request header: " + head;
+      response = "err ? bad request header: " + std::string(header.head);
     }
     if (response.compare(0, 4, "err ") == 0) errors.Increment();
     WriteFrame(std::cout, response);
