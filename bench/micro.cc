@@ -33,6 +33,7 @@
 #include "util/bigint.h"
 #include "util/log_double.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace aqo {
 namespace {
@@ -80,7 +81,33 @@ void BM_DpOptimizer(benchmark::State& state) {
     benchmark::DoNotOptimize(DpQonOptimizer(inst));
   }
 }
-BENCHMARK(BM_DpOptimizer)->Arg(10)->Arg(14)->Arg(18)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DpOptimizer)
+    ->Arg(10)
+    ->Arg(14)
+    ->Arg(16)
+    ->Arg(18)
+    ->Arg(20)
+    ->Unit(benchmark::kMillisecond);
+
+// The destination-major parallel DP on a two-thread pool (same results as
+// the serial DP, bit for bit).
+void BM_DpOptimizerParallel(benchmark::State& state) {
+  int n = static_cast<int>(state.range(0));
+  QonInstance inst = MakeQonInstance(n, 7);
+  ThreadPool pool(2);
+  OptimizerOptions options;
+  options.pool = &pool;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(DpQonOptimizer(inst, options));
+  }
+}
+BENCHMARK(BM_DpOptimizerParallel)
+    ->Arg(14)
+    ->Arg(16)
+    ->Arg(18)
+    ->Arg(20)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_GreedyOptimizer(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));

@@ -118,23 +118,14 @@ OptimizerResult CoutOptimalJoinOrder(const QonInstance& inst,
                                      CancelToken* cancel) {
   int n = inst.NumRelations();
   AQO_CHECK(n >= 2);
-  AQO_CHECK(n <= 24) << "subset DP is 2^n";
+  AQO_CHECK(n <= kDpMaxRelations) << "subset DP is 2^n";
   RunGuard guard(budget, cancel);
   size_t full = (size_t{1} << n) - 1;
 
-  std::vector<LogDouble> subset_size(full + 1, LogDouble::One());
-  for (size_t mask = 1; mask <= full; ++mask) {
-    int j = std::countr_zero(mask);
-    size_t rest = mask & (mask - 1);
-    LogDouble v = subset_size[rest] * inst.size(j);
-    for (size_t m = rest; m != 0; m &= m - 1) {
-      int k = std::countr_zero(m);
-      if (inst.graph().HasEdge(k, j)) v *= inst.selectivity(k, j);
-    }
-    subset_size[mask] = v;
-  }
+  // The QO_N DP's subset-size fold: same bits as a LogDouble fold.
+  std::vector<double> log2_size = SubsetSizesLog2(inst);
 
-  // C_out extension cost is N(S union {j}) = subset_size of the new set:
+  // C_out extension cost is N(S union {j}), the size of the new set:
   // dp[S] = min_j dp[S \ {j}] + N(S) for |S| >= 2.
   std::vector<LogDouble> dp(full + 1);
   std::vector<int8_t> last(full + 1, -1);
@@ -160,7 +151,7 @@ OptimizerResult CoutOptimalJoinOrder(const QonInstance& inst,
         first = false;
       }
     }
-    dp[mask] += subset_size[mask];
+    dp[mask] += LogDouble::FromLog2(log2_size[mask]);
   }
 
   result.feasible = true;

@@ -21,6 +21,10 @@
 
 namespace aqo {
 
+// Relation sets are 64-bit masks; larger instances are outside the
+// optimizer's domain.
+constexpr int kBnbMaxRelations = 62;
+
 struct BnbResult {
   OptimizerResult result;
   bool proven_optimal = false;

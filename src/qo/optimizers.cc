@@ -91,7 +91,8 @@ OptimizerResult ExhaustiveQonOptimizer(const QonInstance& inst,
                                        const OptimizerOptions& options) {
   int n = inst.NumRelations();
   AQO_CHECK(n >= 2);
-  AQO_CHECK(n <= 10) << "exhaustive search is n! — use DpQonOptimizer";
+  AQO_CHECK(n <= kExhaustiveQonMaxRelations)
+      << "exhaustive search is n! — use DpQonOptimizer";
   static obs::Counter& permutations = CounterRef("qon.exhaustive.permutations");
   static obs::Counter& skipped = CounterRef("qon.exhaustive.skipped");
   RunGuard guard(options.budget, options.cancel);
@@ -119,49 +120,17 @@ OptimizerResult ExhaustiveQonOptimizer(const QonInstance& inst,
   return result;
 }
 
-// --- Subset DP (serial and layer-synchronized parallel) ---
+// --- Subset DP (serial and destination-major parallel) ---
 //
-// Both variants below must evaluate identical floating-point expression
-// trees so their results agree bit for bit; the helpers here are the
-// single source of truth for operand order. See docs/parallelism.md.
+// Both variants run one kernel on raw log2 doubles (docs/performance.md,
+// "Subset DP"). Every value it stores is bit-identical to the LogDouble
+// expression the DP is defined by — dp[S ∪ {j}] = min_j dp[S] + N(S) *
+// min(t_j, min_{k∈S} W(k, j)) with the lowest j winning exact ties — and
+// the two variants differ only in visiting order, so they agree bit for
+// bit (docs/parallelism.md). tests/dp_kernel_test.cc checks both against
+// the pre-kernel LogDouble DP kept in tests/dp_oracle.cc.
 
-namespace dp_detail {
-
-constexpr int kNoParent = -1;
-
-// N[mask] from N[mask minus its lowest bit]: multiply in the relation,
-// then the selectivities toward it in ascending-bit order.
-LogDouble SubsetSizeOf(const QonInstance& inst,
-                       const std::vector<LogDouble>& subset_size,
-                       size_t mask) {
-  int j = std::countr_zero(mask);
-  size_t rest = mask & (mask - 1);
-  LogDouble v = subset_size[rest] * inst.size(j);
-  for (size_t m = rest; m != 0; m &= m - 1) {
-    int k = std::countr_zero(m);
-    if (inst.graph().HasEdge(k, j)) v *= inst.selectivity(k, j);
-  }
-  return v;
-}
-
-bool MaskConnectsTo(const Graph& g, size_t mask, int j) {
-  for (size_t m = mask; m != 0; m &= m - 1) {
-    if (g.HasEdge(std::countr_zero(m), j)) return true;
-  }
-  return false;
-}
-
-// Cost of the plan "src, then j": dp[src] + N(src) * min access cost,
-// the min taken over src's bits in ascending order.
-LogDouble CandidateCost(const QonInstance& inst,
-                        const std::vector<LogDouble>& subset_size,
-                        const std::vector<LogDouble>& dp, size_t src, int j) {
-  LogDouble min_w = inst.size(j);  // upper bound; refined below
-  for (size_t m = src; m != 0; m &= m - 1) {
-    min_w = MinOf(min_w, inst.AccessCost(std::countr_zero(m), j));
-  }
-  return dp[src] + subset_size[src] * min_w;
-}
+namespace {
 
 // Appends the masks of popcount `k` over `n` bits in increasing numeric
 // order (Gosper's hack).
@@ -179,18 +148,146 @@ void EnumerateLayer(int n, int k, std::vector<size_t>* out) {
   }
 }
 
+// adj[j] = the bitmask of j's neighbours in the query graph (n <= 32).
+std::vector<uint32_t> NeighbourMasks(const QonInstance& inst) {
+  int n = inst.NumRelations();
+  std::vector<uint32_t> adj(static_cast<size_t>(n), 0);
+  for (int j = 0; j < n; ++j) {
+    for (int k = 0; k < n; ++k) {
+      if (k != j && inst.graph().HasEdge(k, j)) {
+        adj[static_cast<size_t>(j)] |= uint32_t{1} << k;
+      }
+    }
+  }
+  return adj;
+}
+
+}  // namespace
+
+std::vector<double> SubsetSizesLog2(const QonInstance& inst,
+                                    ThreadPool* pool) {
+  int n = inst.NumRelations();
+  AQO_CHECK(n >= 1 && n <= kDpMaxRelations);
+  size_t un = static_cast<size_t>(n);
+  size_t full = (size_t{1} << n) - 1;
+  std::vector<uint32_t> adj = NeighbourMasks(inst);
+  // sel[j*n + k] = log2 s(k, j); only edge entries are ever read.
+  std::vector<double> sel(un * un, 0.0);
+  for (int j = 0; j < n; ++j) {
+    for (int k = 0; k < n; ++k) {
+      sel[static_cast<size_t>(j) * un + static_cast<size_t>(k)] =
+          inst.selectivity(k, j).Log2();
+    }
+  }
+  // N(S) from N(S minus its lowest bit j): add log2 t_j, then log2 s(k, j)
+  // for the neighbours k of j in S in ascending order — the LogDouble
+  // fold "size, then selectivities toward j in ascending-bit order" on
+  // its exponents (sizes and selectivities are positive, so no operand is
+  // zero and every product is one double add). N(∅) = log2 1 = +0.0.
+  std::vector<double> log2_size(full + 1, 0.0);
+  auto fill = [&](size_t mask) {
+    int j = std::countr_zero(mask);
+    size_t rest = mask & (mask - 1);
+    const double* row = sel.data() + static_cast<size_t>(j) * un;
+    double v = log2_size[rest] + inst.size(j).Log2();
+    for (size_t m = rest & adj[static_cast<size_t>(j)]; m != 0; m &= m - 1) {
+      v += row[std::countr_zero(m)];
+    }
+    log2_size[mask] = v;
+  };
+  if (pool == nullptr || pool->num_threads() <= 1) {
+    for (size_t mask = 1; mask <= full; ++mask) fill(mask);
+    return log2_size;
+  }
+  // Each mask reads only the previous cardinality layer, so layers fill
+  // in parallel with the same per-mask arithmetic.
+  std::vector<size_t> layer;
+  for (int k = 1; k <= n; ++k) {
+    EnumerateLayer(n, k, &layer);
+    pool->ParallelFor(layer.size(), [&](size_t idx) { fill(layer[idx]); });
+  }
+  return log2_size;
+}
+
+namespace dp_detail {
+
+constexpr int kNoParent = -1;
+constexpr double kUnreached = std::numeric_limits<double>::infinity();
+
+// Exact min/max: each returns one of its operands, with MinOf's operand
+// order. The only equal-but-bitwise-different operands are +0.0 and -0.0,
+// and a min-access value only ever enters N(S) + w, where N(S) is never
+// -0.0, so which zero is picked changes no bit.
+inline double Min(double a, double b) { return a < b ? a : b; }
+inline double Max(double a, double b) { return a < b ? b : a; }
+
+// The per-instance tables both DP variants share.
+//
+// min(t_j, min_{k∈S} W(k, j)) = min(lo[S & low][j], hi[S >> h][j]): S is
+// split at bit h = n/2, lo holds the access-cost minimum (seeded with t_j)
+// of every subset of the low h relations, hi the same for the high n - h.
+// min is exact, so any fold order gives the operand the ascending-bit
+// fold picks. Diagonal entries (k == j) are +inf: S never contains j.
+struct DpKernel {
+  DpKernel(const QonInstance& inst, ThreadPool* pool)
+      : n(inst.NumRelations()),
+        h(n / 2),
+        low_mask((size_t{1} << h) - 1),
+        log2_size(SubsetSizesLog2(inst, pool)),
+        adj(NeighbourMasks(inst)) {
+    FillMinTable(inst, 0, h, &lo);
+    FillMinTable(inst, h, n - h, &hi);
+  }
+
+  const double* LoRow(size_t s) const {
+    return lo.data() + (s & low_mask) * static_cast<size_t>(n);
+  }
+  const double* HiRow(size_t s) const {
+    return hi.data() + (s >> h) * static_cast<size_t>(n);
+  }
+  bool Connects(size_t s, int j) const {
+    return (adj[static_cast<size_t>(j)] & s) != 0;
+  }
+
+  int n;
+  int h;
+  size_t low_mask;
+  std::vector<double> log2_size;  // N(S), 2^n entries
+  std::vector<uint32_t> adj;      // neighbour mask per relation
+  std::vector<double> lo;         // 2^h rows of n
+  std::vector<double> hi;         // 2^(n-h) rows of n
+
+ private:
+  // table[a*n + j] = min(t_j, min over bits b of a of W(base + b, j)).
+  void FillMinTable(const QonInstance& inst, int base, int bits,
+                    std::vector<double>* table) const {
+    size_t un = static_cast<size_t>(n);
+    size_t rows = size_t{1} << bits;
+    table->resize(rows * un);
+    double* t = table->data();
+    for (int j = 0; j < n; ++j) t[j] = inst.size(j).Log2();
+    for (size_t a = 1; a < rows; ++a) {
+      int k = base + std::countr_zero(a);
+      const double* prev = t + (a & (a - 1)) * un;
+      double* row = t + a * un;
+      for (int j = 0; j < n; ++j) {
+        double w = j == k ? kUnreached : inst.AccessCost(k, j).Log2();
+        row[j] = Min(prev[j], w);
+      }
+    }
+  }
+};
+
 // Peels the recorded last relations into the optimal sequence and
 // cross-checks the reconstructed cost.
-OptimizerResult FinishDp(const QonInstance& inst,
-                         const std::vector<LogDouble>& dp,
-                         const std::vector<int8_t>& last,
-                         const std::vector<uint8_t>& reachable, size_t full,
+OptimizerResult FinishDp(const QonInstance& inst, const std::vector<double>& dp,
+                         const std::vector<int8_t>& last, size_t full,
                          uint64_t evaluations) {
   OptimizerResult result;
   result.evaluations = evaluations;
-  if (!reachable[full]) return result;
+  if (dp[full] == kUnreached) return result;
   result.feasible = true;
-  result.cost = dp[full];
+  result.cost = LogDouble::FromLog2(dp[full]);
   JoinSequence seq;
   size_t mask = full;
   while (mask != 0) {
@@ -236,6 +333,17 @@ void FlushDpCounters(uint64_t states, uint64_t transitions, uint64_t pruned) {
   dp_pruned.Add(pruned);
 }
 
+// dp[S] = +inf marks S unreached; singletons cost 0 (log2 -inf).
+void InitDp(int n, std::vector<double>* dp, std::vector<int8_t>* last) {
+  size_t states = size_t{1} << n;
+  dp->assign(states, kUnreached);
+  last->assign(states, kNoParent);
+  for (int i = 0; i < n; ++i) {
+    (*dp)[size_t{1} << i] = -std::numeric_limits<double>::infinity();
+    (*last)[size_t{1} << i] = static_cast<int8_t>(i);
+  }
+}
+
 }  // namespace dp_detail
 
 OptimizerResult DpQonOptimizerSerial(const QonInstance& inst,
@@ -243,25 +351,16 @@ OptimizerResult DpQonOptimizerSerial(const QonInstance& inst,
   using namespace dp_detail;
   int n = inst.NumRelations();
   AQO_CHECK(n >= 2);
-  AQO_CHECK(n <= 24) << "subset DP is 2^n — instance too large";
+  AQO_CHECK(n <= kDpMaxRelations) << "subset DP is 2^n — instance too large";
   size_t full = (static_cast<size_t>(1) << n) - 1;
+  DpKernel kernel(inst, /*pool=*/nullptr);
+  std::vector<double> dp;
+  std::vector<int8_t> last;
+  InitDp(n, &dp, &last);
 
-  // N[mask]: intermediate size of the relation set `mask`.
-  std::vector<LogDouble> subset_size(full + 1, LogDouble::One());
-  for (size_t mask = 1; mask <= full; ++mask) {
-    subset_size[mask] = SubsetSizeOf(inst, subset_size, mask);
-  }
-
-  std::vector<LogDouble> dp(full + 1);
-  std::vector<int8_t> last(full + 1, kNoParent);  // last relation joined
-  std::vector<uint8_t> reachable(full + 1, 0);
-  for (int i = 0; i < n; ++i) {
-    size_t mask = static_cast<size_t>(1) << i;
-    reachable[mask] = 1;
-    dp[mask] = LogDouble::Zero();
-    last[mask] = static_cast<int8_t>(i);
-  }
-
+  // Mask-major: every source S pushes its transitions in numeric order,
+  // with the budget checked per mask, so a capped run stops at an exact
+  // transition count that no thread count or skip can move.
   RunGuard guard(options.budget, options.cancel);
   uint64_t local_states = 0, local_pruned = 0;
   uint64_t evaluations = 0;
@@ -270,26 +369,32 @@ OptimizerResult DpQonOptimizerSerial(const QonInstance& inst,
       FlushDpCounters(local_states, evaluations, local_pruned);
       return FinishDpCutShort(inst, options, guard.status(), evaluations);
     }
-    if (!reachable[mask]) continue;
-    for (int j = 0; j < n; ++j) {
-      size_t bit = static_cast<size_t>(1) << j;
-      if (mask & bit) continue;
-      if (options.forbid_cartesian &&
-          !MaskConnectsTo(inst.graph(), mask, j)) {
+    double cost = dp[mask];
+    if (cost == kUnreached) continue;
+    double size = kernel.log2_size[mask];
+    const double* lo = kernel.LoRow(mask);
+    const double* hi = kernel.HiRow(mask);
+    for (size_t rest = full & ~mask; rest != 0; rest &= rest - 1) {
+      int j = std::countr_zero(rest);
+      if (options.forbid_cartesian && !kernel.Connects(mask, j)) {
         ++local_pruned;
         continue;
       }
-      LogDouble candidate = CandidateCost(inst, subset_size, dp, mask, j);
       ++evaluations;
-      size_t next = mask | bit;
-      bool fresh = !reachable[next];
-      local_states += fresh;
+      size_t next = mask | (static_cast<size_t>(1) << j);
+      double join = size + Min(lo[j], hi[j]);  // N(S) * min access
+      double incumbent = dp[next];
+      // Certified skip: dp[S] + join never rounds below max(dp[S], join)
+      // (LogDouble::AddLog2), so above the incumbent it can neither win
+      // nor tie. An unreached incumbent (+inf) is never skipped.
+      if (Max(cost, join) > incumbent) continue;
+      double candidate = LogDouble::AddLog2(cost, join);
+      local_states += incumbent == kUnreached;
       // On exact cost ties the lowest last-relation id wins, making the
-      // reconstructed sequence independent of subset enumeration order
-      // (the parallel DP visits transitions destination-major).
-      if (fresh || candidate < dp[next] ||
-          (candidate == dp[next] && j < last[next])) {
-        reachable[next] = 1;
+      // reconstructed sequence independent of visiting order (the
+      // parallel DP visits transitions destination-major).
+      if (candidate < incumbent ||
+          (candidate == incumbent && j < last[next])) {
         dp[next] = candidate;
         last[next] = static_cast<int8_t>(j);
       }
@@ -297,7 +402,7 @@ OptimizerResult DpQonOptimizerSerial(const QonInstance& inst,
   }
 
   FlushDpCounters(local_states, evaluations, local_pruned);
-  return FinishDp(inst, dp, last, reachable, full, evaluations);
+  return FinishDp(inst, dp, last, full, evaluations);
 }
 
 OptimizerResult DpQonOptimizerParallel(const QonInstance& inst,
@@ -309,30 +414,12 @@ OptimizerResult DpQonOptimizerParallel(const QonInstance& inst,
   }
   int n = inst.NumRelations();
   AQO_CHECK(n >= 2);
-  AQO_CHECK(n <= 24) << "subset DP is 2^n — instance too large";
+  AQO_CHECK(n <= kDpMaxRelations) << "subset DP is 2^n — instance too large";
   size_t full = (static_cast<size_t>(1) << n) - 1;
-
-  // Layer-synchronized fill of N[mask]: each mask's value depends only on
-  // the previous cardinality layer, so layers parallelize cleanly.
-  std::vector<LogDouble> subset_size(full + 1, LogDouble::One());
-  std::vector<size_t> layer;
-  for (int k = 1; k <= n; ++k) {
-    EnumerateLayer(n, k, &layer);
-    pool->ParallelFor(layer.size(), [&](size_t idx) {
-      size_t mask = layer[idx];
-      subset_size[mask] = SubsetSizeOf(inst, subset_size, mask);
-    });
-  }
-
-  std::vector<LogDouble> dp(full + 1);
-  std::vector<int8_t> last(full + 1, kNoParent);
-  std::vector<uint8_t> reachable(full + 1, 0);
-  for (int i = 0; i < n; ++i) {
-    size_t mask = static_cast<size_t>(1) << i;
-    reachable[mask] = 1;
-    dp[mask] = LogDouble::Zero();
-    last[mask] = static_cast<int8_t>(i);
-  }
+  DpKernel kernel(inst, pool);
+  std::vector<double> dp;
+  std::vector<int8_t> last;
+  InitDp(n, &dp, &last);
 
   // Destination-major DP: every transition into a popcount-(k+1) state
   // comes from a popcount-k state, so after layer k is final each
@@ -350,6 +437,7 @@ OptimizerResult DpQonOptimizerParallel(const QonInstance& inst,
   std::vector<uint64_t> chunk_states(chunk_count), chunk_evals(chunk_count),
       chunk_pruned(chunk_count);
   uint64_t total_states = 0, total_evals = 0, total_pruned = 0;
+  std::vector<size_t> layer;
   for (int k = 1; k < n; ++k) {
     if (guard.ShouldStop(total_evals)) {
       FlushDpCounters(total_states, total_evals, total_pruned);
@@ -362,37 +450,55 @@ OptimizerResult DpQonOptimizerParallel(const QonInstance& inst,
     pool->ParallelForChunks(
         layer.size(), [&](int chunk, size_t begin, size_t end) {
           uint64_t states = 0, evals = 0, pruned = 0;
+          // Per-destination candidates: relation j, source cost, join
+          // term, and the certified lower bound max(dp[src], join).
+          int cand_j[kDpMaxRelations] = {};
+          double cand_cost[kDpMaxRelations] = {};
+          double cand_join[kDpMaxRelations] = {};
+          double cand_bound[kDpMaxRelations] = {};
           for (size_t idx = begin; idx < end; ++idx) {
             size_t next = layer[idx];
-            int best_j = kNoParent;
-            LogDouble best;
+            int count = 0, first = 0;
             for (size_t bits = next; bits != 0; bits &= bits - 1) {
               int j = std::countr_zero(bits);
               size_t src = next ^ (static_cast<size_t>(1) << j);
-              if (!reachable[src]) continue;
-              if (options.forbid_cartesian &&
-                  !MaskConnectsTo(inst.graph(), src, j)) {
+              double cost = dp[src];
+              if (cost == kUnreached) continue;
+              if (options.forbid_cartesian && !kernel.Connects(src, j)) {
                 ++pruned;
                 continue;
               }
-              LogDouble candidate =
-                  CandidateCost(inst, subset_size, dp, src, j);
               ++evals;
-              // Same tie-break as the serial DP: lowest j on equal cost
-              // (j ascends here, so keeping the strict winner suffices,
-              // but stay explicit).
-              if (best_j == kNoParent || candidate < best ||
-                  (candidate == best && j < best_j)) {
+              double join = kernel.log2_size[src] +
+                            Min(kernel.LoRow(src)[j], kernel.HiRow(src)[j]);
+              cand_j[count] = j;
+              cand_cost[count] = cost;
+              cand_join[count] = join;
+              cand_bound[count] = Max(cost, join);
+              if (cand_bound[count] < cand_bound[first]) first = count;
+              ++count;
+            }
+            if (count == 0) continue;
+            // Best-first: price the smallest bound, then only candidates
+            // whose bound does not exceed the incumbent (a larger bound
+            // certifies a larger price). Ties go to the lowest j, exactly
+            // as in the serial DP.
+            double best = LogDouble::AddLog2(cand_cost[first],
+                                             cand_join[first]);
+            int best_j = cand_j[first];
+            for (int c = 0; c < count; ++c) {
+              if (c == first || cand_bound[c] > best) continue;
+              double candidate =
+                  LogDouble::AddLog2(cand_cost[c], cand_join[c]);
+              if (candidate < best ||
+                  (candidate == best && cand_j[c] < best_j)) {
                 best = candidate;
-                best_j = j;
+                best_j = cand_j[c];
               }
             }
-            if (best_j != kNoParent) {
-              reachable[next] = 1;
-              dp[next] = best;
-              last[next] = static_cast<int8_t>(best_j);
-              ++states;
-            }
+            dp[next] = best;
+            last[next] = static_cast<int8_t>(best_j);
+            ++states;
           }
           chunk_states[static_cast<size_t>(chunk)] = states;
           chunk_evals[static_cast<size_t>(chunk)] = evals;
@@ -406,7 +512,7 @@ OptimizerResult DpQonOptimizerParallel(const QonInstance& inst,
   }
 
   FlushDpCounters(total_states, total_evals, total_pruned);
-  return FinishDp(inst, dp, last, reachable, full, total_evals);
+  return FinishDp(inst, dp, last, full, total_evals);
 }
 
 OptimizerResult DpQonOptimizer(const QonInstance& inst,
@@ -744,7 +850,8 @@ QohOptimizerResult ExhaustiveQohOptimizer(const QohInstance& inst,
                                           CancelToken* cancel) {
   int n = inst.NumRelations();
   AQO_CHECK(n >= 2);
-  AQO_CHECK(n <= 9) << "exhaustive QO_H search is n! * n^2";
+  AQO_CHECK(n <= kExhaustiveQohMaxRelations)
+      << "exhaustive QO_H search is n! * n^2";
   static obs::Counter& permutations = CounterRef("qoh.exhaustive.permutations");
   RunGuard guard(budget, cancel);
   QohOptimizerResult result;

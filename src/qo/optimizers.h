@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "qo/qoh.h"
 #include "qo/qon.h"
@@ -182,14 +183,24 @@ struct OptimizerOptions {
   EvalTier eval_tier = EvalTier::kExact;
 };
 
-// Tries all n! permutations. Guarded to n <= 10.
+// Relation-count limits of the exponential optimizers; larger instances
+// are outside their domain (the registry advertises these, qo/registry.h).
+constexpr int kExhaustiveQonMaxRelations = 10;
+constexpr int kDpMaxRelations = 24;
+constexpr int kExhaustiveQohMaxRelations = 9;
+
+// Tries all n! permutations. Guarded to n <= kExhaustiveQonMaxRelations.
 OptimizerResult ExhaustiveQonOptimizer(const QonInstance& inst,
                                        const OptimizerOptions& options = {});
 
 // Exact left-deep optimum by dynamic programming over relation subsets.
 // Correct because the QO_N extension cost depends on the prefix only
 // through its *set*: N(X) and min_{k in X} AccessCost(k, j) are
-// order-independent. O(2^n * n^2); guarded to n <= 24.
+// order-independent. n * 2^(n-1) transitions, each O(1) (split-half
+// min-access tables over raw log2 doubles, and a certified skip of the
+// log-sum-exp for transitions that cannot win), bit-identical to the
+// plain LogDouble DP (docs/performance.md, "Subset DP"); guarded to
+// n <= kDpMaxRelations.
 //
 // Ties between equal-cost extensions break toward the lowest relation id
 // (in every variant), so the returned sequence is a pure function of the
@@ -199,22 +210,33 @@ OptimizerResult ExhaustiveQonOptimizer(const QonInstance& inst,
 OptimizerResult DpQonOptimizer(const QonInstance& inst,
                                const OptimizerOptions& options = {});
 
-// The serial reference implementation (what DpQonOptimizer runs without a
-// pool): one pass over subsets in numeric order.
+// The serial DP (what DpQonOptimizer runs without a pool): one pass over
+// source subsets in numeric order, budget checked per subset.
 OptimizerResult DpQonOptimizerSerial(const QonInstance& inst,
                                      const OptimizerOptions& options = {});
 
 // Layer-synchronized parallel DP: subsets are processed one cardinality
 // layer at a time, each layer's *destination* states partitioned across
-// `pool` in deterministic static chunks. Every destination is written by
-// exactly one thread (its transitions all come from the previous layer),
-// so no merge step can reorder floating-point operations: the dp table,
-// the reconstructed sequence, the evaluation count, and the telemetry
-// counter totals are bit-identical to DpQonOptimizerSerial for every
-// thread count. `pool` may be null (falls back to serial).
+// `pool` in deterministic static chunks; each destination prices its
+// candidates best-first by their certified lower bounds. Every
+// destination is written by exactly one thread (its transitions all come
+// from the previous layer), so no merge step can reorder floating-point
+// operations: the dp table, the reconstructed sequence, the evaluation
+// count, and the telemetry counter totals are bit-identical to
+// DpQonOptimizerSerial for every thread count. `pool` may be null (falls
+// back to serial).
 OptimizerResult DpQonOptimizerParallel(const QonInstance& inst,
                                        ThreadPool* pool,
                                        const OptimizerOptions& options = {});
+
+// log2 N(S) — the intermediate size of relation set S — for every
+// S ⊆ {0..n-1} (2^n entries, N(∅) = 1), folded as "N(S minus its lowest
+// relation j), times t_j, times s(k, j) for j's neighbours k in S in
+// ascending order". Shared by the QO_N subset DP and the C_out DP
+// (qo/analysis.h). Filled one cardinality layer at a time on `pool` when
+// it has more than one thread; same bits either way. n <= kDpMaxRelations.
+std::vector<double> SubsetSizesLog2(const QonInstance& inst,
+                                    ThreadPool* pool = nullptr);
 
 // Greedy: tries every relation as the first, then repeatedly appends the
 // relation with the cheapest next join. O(n^3). Polynomial baseline.
@@ -251,9 +273,9 @@ struct QohOptimizerResult {
 };
 
 // Exhaustive over permutations, each costed with its optimal decomposition.
-// Guarded to n <= 9. The optional budget/cancel pair makes it anytime
-// (checked once per permutation); the heuristics in qoh_optimizers.h take
-// theirs through QohOptimizerOptions instead.
+// Guarded to n <= kExhaustiveQohMaxRelations. The optional budget/cancel
+// pair makes it anytime (checked once per permutation); the heuristics in
+// qoh_optimizers.h take theirs through QohOptimizerOptions instead.
 QohOptimizerResult ExhaustiveQohOptimizer(const QohInstance& inst,
                                           const Budget& budget = {},
                                           CancelToken* cancel = nullptr);

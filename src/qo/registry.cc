@@ -147,7 +147,7 @@ std::string RegistryT<Entry>::Describe() const {
   for (const Entry& e : entries_) {
     out << "  " << e.name;
     for (size_t pad = e.name.size(); pad < 12; ++pad) out << ' ';
-    out << ' ' << e.description;
+    out << ' ' << e.description << " [" << e.DomainText() << ']';
     if (e.deterministic) out << " [deterministic]";
     if (!e.cacheable) out << " [stateful: never plan-cached]";
     out << '\n';
@@ -206,9 +206,10 @@ template class RegistryT<QohOptimizerEntry>;
 const OptimizerRegistry& OptimizerRegistry::Qon() {
   static const OptimizerRegistry* registry = [] {
     std::vector<QonOptimizerEntry> entries = {
-        {"exhaustive", "all n! permutations (n <= 10)", true, true, {},
-         RunExhaustive},
-        {"dp", "exact left-deep subset DP (n <= 24)", true, true, {}, RunDp},
+        {"exhaustive", "all n! permutations", true, true, {}, RunExhaustive,
+         2, kExhaustiveQonMaxRelations},
+        {"dp", "exact left-deep subset DP", true, true, {}, RunDp, 2,
+         kDpMaxRelations},
         {"greedy", "cheapest-next-join from every start", true, true, {},
          RunGreedy},
         {"random", "best of options.samples random sequences", false, true,
@@ -234,9 +235,9 @@ const OptimizerRegistry& OptimizerRegistry::Qon() {
          RunGenetic},
         {"bnb", "branch & bound (options.bnb_node_limit, 0 = exact)", true,
          true, {{"--bnb-node-limit=", "node budget (0 = unlimited)"}},
-         RunBnb},
+         RunBnb, 2, kBnbMaxRelations},
         {"cout", "exact optimum under the C_out cost metric", true, true, {},
-         RunCout},
+         RunCout, 2, kDpMaxRelations},
         {"kbz", "IK/KBZ, exact on tree query graphs (else infeasible)", true,
          true, {}, RunKbz},
         {"adaptive", "learned selection over the feedback store"
@@ -251,8 +252,8 @@ const OptimizerRegistry& OptimizerRegistry::Qon() {
 const QohOptimizerRegistry& QohOptimizerRegistry::Get() {
   static const QohOptimizerRegistry* registry = [] {
     std::vector<QohOptimizerEntry> entries = {
-        {"exhaustive", "all n! permutations, optimal decomposition (n <= 9)",
-         true, true, {}, RunQohExhaustive},
+        {"exhaustive", "all n! permutations, optimal decomposition", true,
+         true, {}, RunQohExhaustive, 2, kExhaustiveQohMaxRelations},
         {"greedy", "min-next-intermediate construction", true, true, {},
          RunQohGreedy},
         {"random", "best of options.samples random sequences", false, true,

@@ -13,8 +13,10 @@
 // implementation (registry_internal::RegistryT); only the instance /
 // options / result types differ. An entry carries metadata — name,
 // description, determinism, cacheability, and a knob schema naming the
-// harness flags that feed it — so front-ends render `--optimizers=help`
-// from Describe() instead of hand-maintaining flag docs.
+// harness flags that feed it, and the relation-count domain it accepts —
+// so front-ends render `--optimizers=help` from Describe() instead of
+// hand-maintaining flag docs, and reject out-of-domain instances before
+// an optimizer can abort on them.
 //
 // Benches and tools select optimizers by name (--optimizers=a,b,c)
 // instead of hand-rolling call lists; the batch service (qo/service.h)
@@ -38,6 +40,7 @@
 // skip), while Run CHECK-fails for programmatic callers.
 
 #include <functional>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -74,6 +77,27 @@ struct OptimizerEntryT {
   bool cacheable = true;
   std::vector<KnobSpec> knobs;  // the flags this entry reads
   std::function<Result(const Instance&, const Options&, Rng*)> run;
+  // Domain: the relation counts min_n <= n <= max_n the entry accepts.
+  // Outside it the optimizer aborts (CHECK), so front-ends test InDomain
+  // before running anything and answer with DomainError instead (the
+  // batch service marks such items kFailed; aqo_serve answers
+  // `err <id> domain: ...`, docs/robustness.md).
+  int min_n = 2;
+  int max_n = std::numeric_limits<int>::max();  // max() = unbounded
+
+  bool InDomain(int n) const { return min_n <= n && n <= max_n; }
+  // "2 <= n <= 24", or "n >= 2" when unbounded.
+  std::string DomainText() const {
+    if (max_n == std::numeric_limits<int>::max()) {
+      return "n >= " + std::to_string(min_n);
+    }
+    return std::to_string(min_n) + " <= n <= " + std::to_string(max_n);
+  }
+  // "optimizer 'dp' accepts 2 <= n <= 24, got n=25".
+  std::string DomainError(int n) const {
+    return "optimizer '" + name + "' accepts " + DomainText() +
+           ", got n=" + std::to_string(n);
+  }
 };
 
 using QonOptimizerEntry =
@@ -105,7 +129,8 @@ class RegistryT {
   }
 
   // Multi-line human-readable listing of every entry: name, description,
-  // determinism/cacheability markers, knob schema, and the alias table.
+  // domain, determinism/cacheability markers, knob schema, and the alias
+  // table.
   // This is what --optimizers=help prints.
   std::string Describe() const;
 

@@ -183,18 +183,30 @@ std::vector<typename Traits::Item> RunBatch(
       plans[r] = Traits::ToPlan(result);
       logs[r] = buffer.Take();
     };
-    try {
-      attempt();
-    } catch (const std::exception&) {
-      retries.Increment();
+    if (!entry->InDomain(c.instance.NumRelations())) {
+      // Outside the entry's declared domain the optimizer would abort the
+      // process: answer kFailed without running it (and, like every
+      // failed item, never cache it).
+      static obs::Counter& domain_rejects =
+          obs::Registry::Get().GetCounter("qo.service.domain_rejects");
+      domain_rejects.Increment();
+      CachedPlan failed;
+      failed.status = PlanStatus::kFailed;
+      plans[r] = failed;
+    } else {
       try {
         attempt();
       } catch (const std::exception&) {
-        failures.Increment();
-        CachedPlan failed;
-        failed.status = PlanStatus::kFailed;
-        plans[r] = failed;
-        logs[r].clear();
+        retries.Increment();
+        try {
+          attempt();
+        } catch (const std::exception&) {
+          failures.Increment();
+          CachedPlan failed;
+          failed.status = PlanStatus::kFailed;
+          plans[r] = failed;
+          logs[r].clear();
+        }
       }
     }
     uint64_t item_us = static_cast<uint64_t>(

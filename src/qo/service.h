@@ -65,6 +65,10 @@ struct BatchOptions {
   double deadline_ms = 0.0;
 };
 
+// Domain admission: an item whose relation count lies outside the
+// optimizer entry's declared domain (OptimizerEntryT::InDomain) is not
+// run at all; it yields an infeasible result with status kFailed.
+//
 // Per-item fault isolation: an item whose optimizer throws (or trips an
 // injected fault, util/fault_injection.h) is retried exactly once with
 // the same RNG stream; a second failure yields an infeasible result with

@@ -79,10 +79,21 @@ class LogDouble {
   LogDouble operator+(LogDouble o) const {
     if (IsZero()) return o;
     if (o.IsZero()) return *this;
+    return FromLog2(AddLog2(log2_, o.log2_));
+  }
+
+  // log2(2^a + 2^b) on raw exponents (-infinity is zero): the arithmetic
+  // of operator+, for kernels that keep raw log2 doubles. The result is
+  // never below max(a, b): the correction term log1p(exp2(lo - hi)) / ln 2
+  // is >= 0, and adding a non-negative double to `hi` cannot round below
+  // `hi`.
+  static double AddLog2(double a, double b) {
+    if (a == -std::numeric_limits<double>::infinity()) return b;
+    if (b == -std::numeric_limits<double>::infinity()) return a;
     // log2(2^a + 2^b) = max + log2(1 + 2^(min-max)).
-    double hi = log2_, lo = o.log2_;
+    double hi = a, lo = b;
     if (hi < lo) std::swap(hi, lo);
-    return FromLog2(hi + std::log1p(std::exp2(lo - hi)) / kLn2);
+    return hi + std::log1p(std::exp2(lo - hi)) / kLn2;
   }
 
   // Subtraction; requires *this >= o (up to exponent rounding). If the two

@@ -20,7 +20,9 @@
 //   seq <v...>                       (feasible only)
 //   pipelines <v...>                 (qoh, feasible only)
 //
-// or `err <id> <reason>` (parse failures, admission rejections). Control
+// or `err <id> <reason>` (parse failures, admission rejections, and
+// `err <id> domain: <family> optimizer '<name>' accepts <domain>, got n=<n>`
+// when the relation count is outside the entry's domain). Control
 // frames: `ping <id>` and `snapshot <id>` (forces a snapshot rotation).
 //
 // Responses are a pure function of (instance, optimizer, knobs, seed):
@@ -164,6 +166,17 @@ std::string AdmissionError(const std::string& id, int n, int max_n) {
          " exceeds --max-n=" + std::to_string(max_n);
 }
 
+// Domain admission (docs/robustness.md): the entry that would run — after
+// any degrade — does not accept this relation count, so the request is
+// answered without running anything.
+std::string DomainError(const std::string& id, const char* family,
+                        const std::string& reason) {
+  static obs::Counter& domain_rejects =
+      obs::Registry::Get().GetCounter("qo.serve.domain_rejects");
+  domain_rejects.Increment();
+  return "err " + id + " domain: " + family + " " + reason;
+}
+
 // One optimize request: parses, admits, runs a single-instance batch
 // through the shared cache, formats the response payload. A non-empty
 // `optimizer` (the per-request `optimizer=<name>` header token) overrides
@@ -226,6 +239,12 @@ std::string ServeOptimize(const std::string& id, double deadline_ms,
         degraded = true;
       }
     }
+    const QonOptimizerEntry* effective =
+        OptimizerRegistry::Qon().Find(options.optimizer);
+    if (!effective->InDomain(inst.NumRelations())) {
+      return DomainError(id, "qon",
+                         effective->DomainError(inst.NumRelations()));
+    }
     std::vector<QonBatchItem> items = OptimizeQonBatch({inst}, options);
     const QonBatchItem& item = items.front();
     if (item.from_cache) cache_hits.Increment();
@@ -273,6 +292,12 @@ std::string ServeOptimize(const std::string& id, double deadline_ms,
         options.qoh = degraded_knobs;
         degraded = true;
       }
+    }
+    const QohOptimizerEntry* effective =
+        QohOptimizerRegistry::Get().Find(options.optimizer);
+    if (!effective->InDomain(inst.NumRelations())) {
+      return DomainError(id, "qoh",
+                         effective->DomainError(inst.NumRelations()));
     }
     std::vector<QohBatchItem> items = OptimizeQohBatch({inst}, options);
     const QohBatchItem& item = items.front();
