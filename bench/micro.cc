@@ -27,6 +27,7 @@
 #include "qo/qoh.h"
 #include "qo/qon.h"
 #include "qo/workloads.h"
+#include "reductions/clique_to_qon.h"
 #include "sat/cdcl.h"
 #include "sat/dpll.h"
 #include "sat/gen.h"
@@ -117,6 +118,35 @@ void BM_GreedyOptimizer(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedyOptimizer)->Arg(20)->Arg(60)->Unit(benchmark::kMicrosecond);
+
+// QO_N `ii` end to end, exact tier, 2 restarts, one seed. Arg 0 is the E1
+// NO instance at n = 90, lg alpha = 2 (bench/qon_gap.cc's f_N of the
+// complete (n/3)-partite graph), the gap table's dominant cell; arg 1 is
+// a random workload at n = 50. Every swap candidate is priced against the
+// incumbent (docs/performance.md, "Incumbent-bounded pricing").
+void BM_IterativeImprovementQon(benchmark::State& state) {
+  const bool e1 = state.range(0) == 0;
+  Rng gen(50);
+  QonInstance inst =
+      e1 ? ReduceCliqueToQon(CompleteMultipartite(90, 30),
+                             QonGapParams{.c = 2.0 / 3.0,
+                                          .d = 1.0 / 3.0,
+                                          .log2_alpha = 2.0})
+               .instance
+         : RandomQonWorkload(50, &gen);
+  OptimizerOptions options;
+  options.restarts = 2;
+  for (auto _ : state) {
+    Rng rng(1);
+    benchmark::DoNotOptimize(
+        IterativeImprovementOptimizer(inst, &rng, options));
+  }
+  state.SetLabel(e1 ? "E1 NO n=90 lg a=2" : "random n=50");
+}
+BENCHMARK(BM_IterativeImprovementQon)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_QohDecomposition(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));

@@ -770,6 +770,34 @@ struct QohAdaptiveTraits {
   }
 };
 
+std::string FallbackName(const AdaptiveKnobs& knobs) {
+  return knobs.fallback.empty() ? "greedy" : knobs.fallback;
+}
+
+template <typename Traits>
+std::string EntryDomainErrorT(const typename Traits::Entry& entry,
+                              const AdaptiveKnobs& knobs, int n) {
+  if (!entry.InDomain(n)) return entry.DomainError(n);
+  if (entry.name != "adaptive") return "";
+  const typename Traits::Entry* fallback =
+      Traits::FindEntry(FallbackName(knobs));
+  if (fallback == nullptr) {
+    return "adaptive fallback: unknown optimizer '" + FallbackName(knobs) +
+           "'";
+  }
+  if (!fallback->InDomain(n)) {
+    return "adaptive fallback: " + fallback->DomainError(n);
+  }
+  // The knobs are shared by both families, so a name can be known in one
+  // registry and unknown in the other.
+  for (const std::string& name : ParseOptimizerList(knobs.candidates)) {
+    if (Traits::FindEntry(name) == nullptr) {
+      return "adaptive candidate: unknown optimizer '" + name + "'";
+    }
+  }
+  return "";
+}
+
 template <typename Traits>
 typename Traits::Result AdaptiveRun(const typename Traits::Instance& inst,
                                     const typename Traits::Options& options) {
@@ -784,15 +812,20 @@ typename Traits::Result AdaptiveRun(const typename Traits::Instance& inst,
   typename Traits::Canonical canon = Traits::Canonicalize(inst);
   InstanceFeatures features = Traits::Features(canon);
   uint64_t decision_seed = MixSeed(knobs.seed, canon.fingerprint.lo);
+  const int n = canon.instance.NumRelations();
 
   // Resolve the fallback and candidate set against the family registry.
   const typename Traits::Entry* fallback_entry =
-      Traits::FindEntry(knobs.fallback.empty() ? "greedy" : knobs.fallback);
+      Traits::FindEntry(FallbackName(knobs));
   AQO_CHECK(fallback_entry != nullptr)
       << "adaptive: unknown fallback optimizer: " << knobs.fallback;
   const std::string& fallback = fallback_entry->name;
   AQO_CHECK(fallback != "adaptive")
       << "adaptive cannot be its own fallback";
+  // Front-ends reject this instance first (EntryDomainError); reaching
+  // here is a caller bug, reported before the fallback's own CHECK.
+  AQO_CHECK(fallback_entry->InDomain(n))
+      << "adaptive fallback: " << fallback_entry->DomainError(n);
 
   std::vector<std::string> candidates;
   {
@@ -815,7 +848,9 @@ typename Traits::Result AdaptiveRun(const typename Traits::Instance& inst,
           << "adaptive: unknown candidate optimizer: " << name;
       AQO_CHECK(entry->name != "adaptive")
           << "adaptive cannot be its own candidate";
-      add(entry->name);
+      // A candidate that cannot run at this n is no choice: drop it
+      // before the decision (and so from the logged candidate list).
+      if (entry->InDomain(n)) add(entry->name);
     }
   }
 
@@ -948,6 +983,16 @@ typename Traits::Result AdaptiveRun(const typename Traits::Instance& inst,
 }
 
 }  // namespace
+
+std::string EntryDomainError(const QonOptimizerEntry& entry,
+                             const OptimizerOptions& options, int n) {
+  return EntryDomainErrorT<QonAdaptiveTraits>(entry, options.adaptive, n);
+}
+
+std::string EntryDomainError(const QohOptimizerEntry& entry,
+                             const QohOptimizerOptions& options, int n) {
+  return EntryDomainErrorT<QohAdaptiveTraits>(entry, options.adaptive, n);
+}
 
 OptimizerResult AdaptiveQonOptimizer(const QonInstance& inst,
                                      const OptimizerOptions& options,

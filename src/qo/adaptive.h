@@ -53,6 +53,7 @@
 #include "qo/fingerprint.h"
 #include "qo/optimizers.h"
 #include "qo/qoh_optimizers.h"
+#include "qo/registry.h"
 #include "util/cancellation.h"
 #include "util/hash.h"
 #include "util/random.h"
@@ -215,6 +216,19 @@ class FeedbackStore {
 // Family default candidate sets (every name resolvable in the family's
 // registry; never contains "adaptive").
 std::vector<std::string> DefaultAdaptiveCandidates(AdaptiveFamily family);
+
+// Domain admission for running `entry` under `options` on an n-relation
+// instance (docs/robustness.md): "" when it can run, else the reason.
+// Outside the entry's own domain that is entry.DomainError(n). For
+// `adaptive` it is also its fallback's domain error, or a fallback or
+// candidate name this family's registry does not know: the fallback
+// always runs, while out-of-domain candidates are only dropped before
+// the decision. Front-ends call this before running anything; the
+// adaptive run CHECK-fails where it is non-empty.
+std::string EntryDomainError(const QonOptimizerEntry& entry,
+                             const OptimizerOptions& options, int n);
+std::string EntryDomainError(const QohOptimizerEntry& entry,
+                             const QohOptimizerOptions& options, int n);
 
 // The meta-optimizers behind the `adaptive` registry entries. The Rng
 // parameter is never consumed (may be null); see the determinism contract

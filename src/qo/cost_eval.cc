@@ -22,6 +22,11 @@ ScopedNaiveCostEvaluation::~ScopedNaiveCostEvaluation() {
 
 // --- QO_N ---------------------------------------------------------------
 
+namespace {
+// The bound of an unbounded fold: no running cost reaches +inf.
+constexpr double kNoBound = std::numeric_limits<double>::infinity();
+}  // namespace
+
 QonCostEvaluator::QonCostEvaluator(const QonInstance& inst)
     : inst_(&inst), n_(inst.NumRelations()) {
   size_t n = static_cast<size_t>(n_);
@@ -59,8 +64,12 @@ QonCostEvaluator::QonCostEvaluator(const QonInstance& inst)
   run_cost_[0] = LogDouble::Zero();
 }
 
-LogDouble QonCostEvaluator::EvaluateFrom(int first) {
-  if (n_ == 0) return LogDouble::Zero();
+bool QonCostEvaluator::EvaluateFrom(int first, double bound_log2) {
+  AQO_DCHECK(first <= valid_upto_);
+  if (n_ == 0) {
+    valid_upto_ = 0;
+    return true;
+  }
   if (first == 0) prefix_[0] = LogDouble::One();
   const int* AQO_RESTRICT seq = seq_.data();
   for (int p = first; p < n_; ++p) {
@@ -80,6 +89,13 @@ LogDouble QonCostEvaluator::EvaluateFrom(int first) {
         mw = mw < c ? mw : c;
       }
       run_cost_[sp] = run_cost_[sp - 1] + prefix_[sp] * LogDouble::FromLog2(mw);
+      // The running sum never decreases, so C(seq) >= run_cost_[p]: once
+      // it reaches the bound the candidate cannot get under it. prefix_[p]
+      // is already valid; prefix_[p + 1] is left for the resume.
+      if (run_cost_[sp].Log2() >= bound_log2) {
+        valid_upto_ = p;
+        return false;
+      }
     }
     // N(prefix + v) = N(prefix) * t_v * (selectivities toward the prefix,
     // in position order) — the PrefixSizes association. mslog_ stores
@@ -93,59 +109,78 @@ LogDouble QonCostEvaluator::EvaluateFrom(int first) {
     }
     prefix_[sp + 1] = LogDouble::FromLog2(next);
   }
-  return run_cost_[static_cast<size_t>(n_) - 1];
+  valid_upto_ = n_;
+  return true;
+}
+
+int QonCostEvaluator::Load(const JoinSequence& seq) {
+  AQO_CHECK(static_cast<int>(seq.size()) == n_);
+  AQO_DCHECK(IsPermutation(seq, n_));
+  int first = 0;
+  while (first < valid_upto_ && seq[static_cast<size_t>(first)] ==
+                                    seq_[static_cast<size_t>(first)]) {
+    ++first;
+  }
+  std::copy(seq.begin() + first, seq.end(), seq_.begin() + first);
+  return first;
 }
 
 LogDouble QonCostEvaluator::Cost(const JoinSequence& seq) {
   if (cost_eval_internal::ForceNaive()) {
-    valid_ = false;
+    valid_upto_ = 0;
     return QonSequenceCost(*inst_, seq);
   }
-  AQO_CHECK(static_cast<int>(seq.size()) == n_);
-  AQO_DCHECK(IsPermutation(seq, n_));
-  int first = 0;
-  if (valid_) {
-    while (first < n_ && seq[static_cast<size_t>(first)] ==
-                             seq_[static_cast<size_t>(first)]) {
-      ++first;
-    }
-    if (first == n_) {
-      return n_ == 0 ? LogDouble::Zero()
-                     : run_cost_[static_cast<size_t>(n_) - 1];
-    }
+  EvaluateFrom(Load(seq), kNoBound);
+  return Total();
+}
+
+bool QonCostEvaluator::CostBelow(const JoinSequence& seq, LogDouble bound,
+                                 LogDouble* cost) {
+  if (cost_eval_internal::ForceNaive()) {
+    valid_upto_ = 0;
+    LogDouble naive = QonSequenceCost(*inst_, seq);
+    if (!(naive < bound)) return false;
+    *cost = naive;
+    return true;
   }
-  std::copy(seq.begin() + first, seq.end(), seq_.begin() + first);
-  valid_ = true;
-  return EvaluateFrom(first);
+  int first = Load(seq);
+  if (!EvaluateFrom(first, bound.Log2())) return false;
+  // A fold that visited position n-1 checked it against the bound, so it
+  // ran to the end only if C(seq) < bound. With nothing left to fold (an
+  // unchanged sequence, or n < 2) the cached total decides.
+  if ((first == n_ || n_ < 2) && !(Total() < bound)) return false;
+  *cost = Total();
+  return true;
 }
 
 LogDouble QonCostEvaluator::CostAfterSwap(int i, int j) {
-  AQO_CHECK(valid_) << "CostAfterSwap needs a prior Cost() call";
+  AQO_CHECK(valid_upto_ > 0) << "CostAfterSwap needs a prior Cost() call";
   AQO_CHECK(0 <= i && i < n_ && 0 <= j && j < n_);
   std::swap(seq_[static_cast<size_t>(i)], seq_[static_cast<size_t>(j)]);
   if (cost_eval_internal::ForceNaive()) {
-    valid_ = false;
+    valid_upto_ = 0;
     return QonSequenceCost(*inst_, seq_);
   }
-  return EvaluateFrom(std::min(i, j));
+  EvaluateFrom(std::min({i, j, valid_upto_}), kNoBound);
+  return Total();
 }
 
 LogDouble QonCostEvaluator::CostWithPrefix(const JoinSequence& seq,
                                            int first_changed) {
   AQO_CHECK(static_cast<int>(seq.size()) == n_);
   AQO_CHECK(0 <= first_changed && first_changed <= n_);
-  AQO_CHECK(valid_ || first_changed == 0);
+  AQO_CHECK(valid_upto_ > 0 || first_changed == 0);
   AQO_DCHECK(IsPermutation(seq, n_));
   AQO_DCHECK(std::equal(seq.begin(), seq.begin() + first_changed,
                         seq_.begin()));
   if (cost_eval_internal::ForceNaive()) {
-    valid_ = false;
+    valid_upto_ = 0;
     return QonSequenceCost(*inst_, seq);
   }
   std::copy(seq.begin() + first_changed, seq.end(),
             seq_.begin() + first_changed);
-  valid_ = true;
-  return EvaluateFrom(first_changed);
+  EvaluateFrom(std::min(first_changed, valid_upto_), kNoBound);
+  return Total();
 }
 
 LogDouble QonCostEvaluator::MinAccess(const std::vector<int>& prefix,

@@ -82,6 +82,15 @@ class QonCostEvaluator {
   // positions [0, first_changed); recomputes from `first_changed` onward.
   LogDouble CostWithPrefix(const JoinSequence& seq, int first_changed);
 
+  // Incumbent-bounded Cost: true iff C(seq) < bound, and then *cost is
+  // C(seq), bit-identical to Cost(seq). On false *cost is untouched. The
+  // fold ends at the first position whose running cost reaches `bound`:
+  // the running sum never decreases (LogDouble::AddLog2 never rounds
+  // below max(a, b)), so no later position can bring C(seq) back under
+  // it. A tie (C(seq) == bound) is false. Local search passes its
+  // incumbent here; docs/performance.md, "Incumbent-bounded pricing".
+  bool CostBelow(const JoinSequence& seq, LogDouble bound, LogDouble* cost);
+
   // The last evaluated sequence (valid after a Cost* call).
   const JoinSequence& sequence() const { return seq_; }
 
@@ -102,7 +111,21 @@ class QonCostEvaluator {
   bool ConnectsTo(const std::vector<int>& prefix, int target) const;
 
  private:
-  LogDouble EvaluateFrom(int first);
+  // Diffs `seq` against seq_ over the valid positions, copies the changed
+  // suffix into seq_, and returns the position the fold resumes from:
+  // min(first changed position, valid_upto_).
+  int Load(const JoinSequence& seq);
+  // Folds positions [first, n) of seq_ onto the state valid below `first`
+  // (first <= valid_upto_), checking every position p >= 1 against
+  // `bound_log2`: the fold ends at the first p with run_cost_[p] >=
+  // bound, sets valid_upto_ = p and returns false. Otherwise valid_upto_
+  // becomes n and it returns true. run_cost_ is never +inf (FromLog2
+  // rejects it), so a +inf bound never ends a fold.
+  bool EvaluateFrom(int first, double bound_log2);
+  LogDouble Total() const {
+    return n_ == 0 ? LogDouble::Zero()
+                   : run_cost_[static_cast<size_t>(n_) - 1];
+  }
   bool AdjTest(int t, int u) const {
     return (adj_[static_cast<size_t>(t) * words_ +
                  static_cast<size_t>(u >> 6)] >>
@@ -131,8 +154,13 @@ class QonCostEvaluator {
   std::vector<double> mslog_;
   std::vector<double> szlog_;
   // Incremental state: last sequence, N(prefix) per position, and the
-  // left-to-right running cost sum after each join.
-  bool valid_ = false;
+  // left-to-right running cost sum after each join. valid_upto_ says how
+  // much of the fold state belongs to seq_: run_cost_[p] for p <
+  // valid_upto_ and prefix_[p] for p <= valid_upto_. 0 means nothing is
+  // cached (no call yet, or the naive toggle ran). A bounded fold that
+  // ends early leaves valid_upto_ < n, and every Cost* call resumes at or
+  // below it.
+  int valid_upto_ = 0;
   JoinSequence seq_;
   std::vector<LogDouble> prefix_;    // size n+1; prefix_[p] = N(first p)
   std::vector<LogDouble> run_cost_;  // size n; run_cost_[p] = H_1+...+H_p

@@ -606,9 +606,18 @@ OptimizerResult RandomSamplingOptimizer(const QonInstance& inst, Rng* rng,
       rejected.Increment();
       continue;
     }
-    LogDouble cost = evaluator.Cost(seq);
+    // Once there is an incumbent, only a strictly cheaper sample matters:
+    // the bounded fold ends as soon as the sample's running cost reaches
+    // it (docs/performance.md, "Incumbent-bounded pricing").
+    LogDouble cost;
+    bool better = true;
+    if (result.feasible) {
+      better = evaluator.CostBelow(seq, result.cost, &cost);
+    } else {
+      cost = evaluator.Cost(seq);
+    }
     ++result.evaluations;
-    if (!result.feasible || cost < result.cost) {
+    if (better) {
       result.feasible = true;
       result.cost = cost;
       result.sequence = std::move(seq);
@@ -767,7 +776,10 @@ OptimizerResult IterativeImprovementOptimizer(const QonInstance& inst,
   RunGuard guard(options.budget, options.cancel);
   OptimizerResult result;
   // The swap neighborhood is the evaluator's best case: each candidate
-  // differs from the last evaluated one at two positions.
+  // differs from the last evaluated one at two positions. Candidates are
+  // priced against the incumbent `current_cost` with CostBelow, whose fold
+  // ends once the running cost reaches it — an accepted swap is priced in
+  // full, so the trajectory and every cost are bit-identical to Cost().
   QonCostEvaluator evaluator(inst);
   // Fast tier: rank each swap candidate with the certified approximate
   // price first. A candidate provably no better than `current` (fast
@@ -775,9 +787,10 @@ OptimizerResult IterativeImprovementOptimizer(const QonInstance& inst,
   // evaluate and reject, so it is skipped outright; everything else is
   // re-priced exactly before the accept decision. The accepted-swap
   // trajectory — and the final (cost, sequence, status) — is bit-identical
-  // to the exact tier; only `evaluations` shrinks.
-  const bool use_fast = options.eval_tier == EvalTier::kFast &&
-                        !cost_eval_internal::ForceNaive();
+  // to the exact tier; only `evaluations` shrinks. The naive toggle swaps
+  // only the exact pricing (CostBelow runs the full naive cost), so a
+  // toggled fast-tier run is the unbounded reference of this one.
+  const bool use_fast = options.eval_tier == EvalTier::kFast;
   std::optional<QonNeighborhoodEvaluator> fast;
   if (use_fast) fast.emplace(inst);
   static obs::Counter& certified = CounterRef("qo.fast_eval.certified_rejects");
@@ -819,10 +832,11 @@ OptimizerResult IterativeImprovementOptimizer(const QonInstance& inst,
           std::swap(current[a], current[b]);
           bool ok = SequenceAllowed(inst, current, options);
           if (ok) {
-            LogDouble cost = evaluator.Cost(current);
+            LogDouble cost;
+            bool below = evaluator.CostBelow(current, current_cost, &cost);
             if (use_fast) repricings.Increment();
             ++result.evaluations;
-            if (cost < current_cost) {
+            if (below) {
               current_cost = cost;
               improved = true;
               improvements.Increment();

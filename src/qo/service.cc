@@ -183,10 +183,12 @@ std::vector<typename Traits::Item> RunBatch(
       plans[r] = Traits::ToPlan(result);
       logs[r] = buffer.Take();
     };
-    if (!entry->InDomain(c.instance.NumRelations())) {
-      // Outside the entry's declared domain the optimizer would abort the
-      // process: answer kFailed without running it (and, like every
-      // failed item, never cache it).
+    if (!EntryDomainError(*entry, knobs, c.instance.NumRelations())
+             .empty()) {
+      // Outside the entry's declared domain (or, for adaptive, its
+      // fallback's) the optimizer would abort the process: answer
+      // kFailed without running it (and, like every failed item, never
+      // cache it).
       static obs::Counter& domain_rejects =
           obs::Registry::Get().GetCounter("qo.service.domain_rejects");
       domain_rejects.Increment();

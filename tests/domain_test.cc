@@ -10,6 +10,9 @@
 //   * through a real aqo_serve process — each request is answered with
 //     `err <id> domain: ...`, and the server still answers a ping and an
 //     in-domain request afterwards and exits cleanly.
+//
+// `adaptive` is also driven with `dp` as its fallback (the item fails)
+// and as one of its candidates (dp is dropped and the item runs).
 
 #include <cstdio>
 #include <cstdlib>
@@ -23,6 +26,7 @@
 #include "graph/generators.h"
 #include "io/framing.h"
 #include "io/serialization.h"
+#include "qo/adaptive.h"
 #include "qo/plan_cache.h"
 #include "qo/registry.h"
 #include "qo/service.h"
@@ -148,19 +152,48 @@ std::string QohToString(const QohInstance& inst) {
   return os.str();
 }
 
-TEST(Domain, ServeAnswersDomainErrorsAndKeepsServing) {
+// (request id, expected response prefix) in stream order.
+using Expectations = std::vector<std::pair<std::string, std::string>>;
+
+// Runs a real aqo_serve process with `flags` over `requests` (one frame
+// each, in order; `tag` names the temp files) and checks each
+// response starts with its expected prefix.
+void ExpectServeResponses(const std::string& flags, const std::string& tag,
+                          const std::vector<std::string>& requests,
+                          const Expectations& expected) {
   std::string dir = ::testing::TempDir();
-  std::string in_path = dir + "/domain_requests.bin";
-  std::string out_path = dir + "/domain_responses.bin";
-  // (request id, expected response prefix) in stream order.
-  std::vector<std::pair<std::string, std::string>> expected;
+  std::string in_path = dir + "/" + tag + "_requests.bin";
+  std::string out_path = dir + "/" + tag + "_responses.bin";
   {
     std::ofstream in(in_path, std::ios::binary);
+    for (const std::string& request : requests) WriteFrame(in, request);
+  }
+  std::string command = std::string(AQO_SERVE_PATH) + " " + flags + " < " +
+                        in_path + " > " + out_path + " 2> /dev/null";
+  ASSERT_EQ(std::system(command.c_str()), 0) << command;
+
+  std::ifstream out(out_path, std::ios::binary);
+  std::vector<std::string> responses;
+  std::string payload, error;
+  while (ReadFrame(out, &payload, &error) == FrameRead::kFrame) {
+    responses.push_back(payload);
+  }
+  ASSERT_EQ(responses.size(), expected.size()) << error;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(responses[i].rfind(expected[i].second, 0), 0u)
+        << "request " << expected[i].first << " got: " << responses[i];
+  }
+}
+
+TEST(Domain, ServeAnswersDomainErrorsAndKeepsServing) {
+  std::vector<std::string> requests;
+  Expectations expected;
+  {
     int next_id = 0;
     auto add = [&](const std::string& family, const std::string& name,
                    const std::string& reason, const std::string& body) {
       std::string id = "d" + std::to_string(next_id++);
-      WriteFrame(in, "req " + id + " optimizer=" + name + "\n" + body);
+      requests.push_back("req " + id + " optimizer=" + name + "\n" + body);
       expected.emplace_back(id, "err " + id + " domain: " + family + " " +
                                     reason);
     };
@@ -177,26 +210,89 @@ TEST(Domain, ServeAnswersDomainErrorsAndKeepsServing) {
       }
     }
     // The server is still up: a ping and an in-domain dp request answer.
-    WriteFrame(in, "ping p0\n");
+    requests.push_back("ping p0\n");
     expected.emplace_back("p0", "ok p0 pong");
-    WriteFrame(in, "req ok0\n" + QonToString(QonOfSize(6)));
+    requests.push_back("req ok0\n" + QonToString(QonOfSize(6)));
     expected.emplace_back("ok0", "ok ok0 qon feasible=1 status=complete");
   }
-  std::string command = std::string(AQO_SERVE_PATH) + " < " + in_path +
-                        " > " + out_path + " 2> /dev/null";
-  ASSERT_EQ(std::system(command.c_str()), 0) << command;
+  ExpectServeResponses("", "domain", requests, expected);
+}
 
-  std::ifstream out(out_path, std::ios::binary);
-  std::vector<std::string> responses;
-  std::string payload, error;
-  while (ReadFrame(out, &payload, &error) == FrameRead::kFrame) {
-    responses.push_back(payload);
+// `adaptive` always runs its fallback, and picks among its candidates.
+// A bounded fallback puts an instance out of reach (the service fails
+// the item, serve answers `err <id> domain:`); a bounded candidate is
+// only dropped from the decision, so the instance still runs.
+TEST(Domain, AdaptiveChecksItsFallbackAndDropsCandidates) {
+  const int n = 25;  // past dp's n <= 24
+  const std::string fallback_reason =
+      "adaptive fallback: " +
+      OptimizerRegistry::Qon().Find("dp")->DomainError(n);
+  {
+    BatchOptions options;
+    options.optimizer = "adaptive";
+    options.qon.adaptive.fallback = "dp";
+    std::vector<QonBatchItem> items =
+        OptimizeQonBatch({QonOfSize(n), QonOfSize(6)}, options);
+    ASSERT_EQ(items.size(), 2u);
+    EXPECT_EQ(items[0].result.status, PlanStatus::kFailed);
+    EXPECT_FALSE(items[0].result.feasible);
+    EXPECT_NE(items[1].result.status, PlanStatus::kFailed);
+    EXPECT_TRUE(items[1].result.feasible);
+    EXPECT_EQ(EntryDomainError(*OptimizerRegistry::Qon().Find("adaptive"),
+                               options.qon, n),
+              fallback_reason);
   }
-  ASSERT_EQ(responses.size(), expected.size()) << error;
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(responses[i].rfind(expected[i].second, 0), 0u)
-        << "request " << expected[i].first << " got: " << responses[i];
+  // Cold, every candidate is under-tried and explored by a seeded draw
+  // per instance, so before candidates were filtered some of these eight
+  // drew dp and aborted.
+  std::vector<QonInstance> past_dp;
+  for (int m = n; m < n + 8; ++m) past_dp.push_back(QonOfSize(m));
+  {
+    FeedbackStore store;
+    BatchOptions options;
+    options.optimizer = "adaptive";
+    options.qon.adaptive.candidates = "dp,greedy";
+    options.qon.adaptive.store = &store;
+    EXPECT_EQ(EntryDomainError(*OptimizerRegistry::Qon().Find("adaptive"),
+                               options.qon, n),
+              "");
+    std::vector<QonBatchItem> items = OptimizeQonBatch(past_dp, options);
+    ASSERT_EQ(items.size(), past_dp.size());
+    for (const QonBatchItem& item : items) {
+      EXPECT_EQ(item.result.status, PlanStatus::kComplete);
+      EXPECT_TRUE(item.result.feasible);
+    }
   }
+  std::vector<std::string> requests;
+  Expectations fallback_expected, candidates_expected;
+  for (size_t i = 0; i < past_dp.size(); ++i) {
+    std::string id = "a" + std::to_string(i);
+    requests.push_back("req " + id + "\n" + QonToString(past_dp[i]));
+    int m = past_dp[i].NumRelations();
+    fallback_expected.emplace_back(
+        id, "err " + id + " domain: qon adaptive fallback: " +
+                OptimizerRegistry::Qon().Find("dp")->DomainError(m));
+    candidates_expected.emplace_back(
+        id, "ok " + id + " qon feasible=1 status=complete");
+  }
+  // The adaptive flags are read for both families, and QO_H has no `dp`:
+  // an adaptive QO_H request must not reach an unknown-name CHECK.
+  requests.push_back("req q0 optimizer=adaptive\n" +
+                     QohToString(QohOfSize(6)));
+  fallback_expected.emplace_back(
+      "q0", "err q0 domain: qoh adaptive fallback: unknown optimizer 'dp'");
+  candidates_expected.emplace_back(
+      "q0", "err q0 domain: qoh adaptive candidate: unknown optimizer 'dp'");
+  requests.push_back("ping p0\n");
+  requests.push_back("req ok0\n" + QonToString(QonOfSize(6)));
+  for (Expectations* e : {&fallback_expected, &candidates_expected}) {
+    e->emplace_back("p0", "ok p0 pong");
+    e->emplace_back("ok0", "ok ok0 qon feasible=1 status=complete");
+  }
+  ExpectServeResponses("--optimizer=adaptive --fallback=dp",
+                       "adaptive_fallback", requests, fallback_expected);
+  ExpectServeResponses("--optimizer=adaptive --adaptive-candidates=dp,greedy",
+                       "adaptive_candidates", requests, candidates_expected);
 }
 
 }  // namespace

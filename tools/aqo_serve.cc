@@ -241,10 +241,9 @@ std::string ServeOptimize(const std::string& id, double deadline_ms,
     }
     const QonOptimizerEntry* effective =
         OptimizerRegistry::Qon().Find(options.optimizer);
-    if (!effective->InDomain(inst.NumRelations())) {
-      return DomainError(id, "qon",
-                         effective->DomainError(inst.NumRelations()));
-    }
+    std::string domain =
+        EntryDomainError(*effective, options.qon, inst.NumRelations());
+    if (!domain.empty()) return DomainError(id, "qon", domain);
     std::vector<QonBatchItem> items = OptimizeQonBatch({inst}, options);
     const QonBatchItem& item = items.front();
     if (item.from_cache) cache_hits.Increment();
@@ -295,10 +294,9 @@ std::string ServeOptimize(const std::string& id, double deadline_ms,
     }
     const QohOptimizerEntry* effective =
         QohOptimizerRegistry::Get().Find(options.optimizer);
-    if (!effective->InDomain(inst.NumRelations())) {
-      return DomainError(id, "qoh",
-                         effective->DomainError(inst.NumRelations()));
-    }
+    std::string domain =
+        EntryDomainError(*effective, options.qoh, inst.NumRelations());
+    if (!domain.empty()) return DomainError(id, "qoh", domain);
     std::vector<QohBatchItem> items = OptimizeQohBatch({inst}, options);
     const QohBatchItem& item = items.front();
     if (item.from_cache) cache_hits.Increment();
