@@ -859,10 +859,6 @@ typename Traits::Result AdaptiveRun(const typename Traits::Instance& inst,
   // the inner runs feed the store directly).
   typename Traits::Options inner = options;
   inner.feedback = nullptr;
-  // Pin the exact tier for inner runs: the fast tier never changes plans,
-  // but it does change `evaluations` (exact re-pricings only), and the
-  // effort signal recorded in the store must be tier-independent.
-  inner.eval_tier = EvalTier::kExact;
   Traits::RemapToCanonical(&inner, canon);
   uint64_t knob_hash = AdaptiveKnobHash(inner);
 

@@ -156,7 +156,6 @@ namespace {
 
 using fast_eval_internal::Lse2;
 using fast_eval_internal::RowAdd;
-using fast_eval_internal::RowAddInPlace;
 using fast_eval_internal::RowMin;
 using fast_eval_internal::RowMinInPlace;
 
@@ -253,15 +252,15 @@ QonNeighborhoodEvaluator::QonNeighborhoodEvaluator(const QonInstance& inst)
           lw_[static_cast<size_t>(t) * n + static_cast<size_t>(k)];
     }
   }
-  // Certified bound: the fast and naive folds each perform O(n^2)
+  // Error bound: the fast and naive folds each perform O(n^2)
   // floating-point operations on log2-domain values whose magnitude is
   // bounded by A (prefix exponents accumulate at most n sizes and n^2
   // masked selectivities; per-join terms add one access cost). Every
   // operation perturbs the running value by at most a few ulps of A, the
   // log-sum-exp steps are Lipschitz-1 in each operand, and re-association
   // is exact in real arithmetic — so the two results differ by at most
-  // C * n^2 * u * A for a small C. 64 leaves an order-of-magnitude
-  // cushion; tests/property_test.cc validates across 1000 seeds.
+  // C * n^2 * u * A for a small C. 64 is a cushion, not a proved
+  // constant; tests/property_test.cc validates it across 1000 seeds.
   double nn = static_cast<double>(n_);
   double a_bound = 1.0 + nn * max_lt + nn * nn * max_ms + max_lw;
   eps_log2_ = 64.0 * nn * nn * DBL_EPSILON * a_bound;
@@ -282,7 +281,6 @@ QonNeighborhoodEvaluator::QonNeighborhoodEvaluator(const QonInstance& inst)
   b_h2_.resize(m);
   out_.resize(m);
   cur_min_.resize(n);
-  cur_ps_.resize(n);
 }
 
 void QonNeighborhoodEvaluator::Load(const JoinSequence& seq) {
@@ -396,26 +394,6 @@ double QonNeighborhoodEvaluator::PriceSwap(int i, int j) {
   }
   acc = Lse2(acc, clp + cur_min_[x]);
   return Lse2(acc, bwd_[sj + 1]);
-}
-
-double QonNeighborhoodEvaluator::SequenceCostLog2(const JoinSequence& seq) {
-  AQO_CHECK(static_cast<int>(seq.size()) == n_);
-  AQO_DCHECK(IsPermutation(seq, n_));
-  CandidatesCounter().Increment();
-  if (n_ < 2) return kNegInf;
-  size_t n = static_cast<size_t>(n_);
-  std::fill(cur_min_.begin(), cur_min_.end(), kInf);
-  std::fill(cur_ps_.begin(), cur_ps_.end(), 0.0);
-  double acc = kNegInf;
-  double clp = 0.0;
-  for (size_t p = 0; p < n; ++p) {
-    size_t v = static_cast<size_t>(seq[p]);
-    if (p >= 1) acc = Lse2(acc, clp + cur_min_[v]);
-    clp += lt_[v] + cur_ps_[v];
-    RowMinInPlace(cur_min_.data(), lwt_.data() + v * n, n_);
-    RowAddInPlace(cur_ps_.data(), mselt_.data() + v * n, n_);
-  }
-  return acc;
 }
 
 // --- QO_H ---------------------------------------------------------------

@@ -1,8 +1,12 @@
 #ifndef AQO_QO_FAST_EVAL_H_
 #define AQO_QO_FAST_EVAL_H_
 
-// The fast (approximate, certified) evaluation tier for neighborhood
-// pricing — the opt-in second tier behind OptimizerOptions::eval_tier.
+// Approximate neighbourhood pricing: a library that prices whole swap
+// neighbourhoods of a loaded sequence at once. No optimizer uses it; every
+// local-search optimizer prices candidates with the exact evaluators in
+// qo/cost_eval.h, which measured faster end to end (docs/performance.md,
+// "Neighbourhood pricing"). The library stays for its micro benches and
+// per-layer metrics, and as the starting point for a pre-DP bound.
 //
 // The exact evaluators in qo/cost_eval.h are pinned to the naive code's
 // left-to-right expression tree: LogDouble addition is log-sum-exp and is
@@ -23,38 +27,33 @@
 // only IEEE-exact operations (add of disjoint rows, elementwise min) are
 // vectorized, while the log-sum-exp reduction stays scalar in both paths.
 //
-// Correctness contract (docs/performance.md, "Evaluation tiers"):
+// Error contract (docs/performance.md, "Neighbourhood pricing"):
 //
 //   |fast_log2(candidate) - naive_log2(candidate)| <= EpsLog2()
 //
-// where naive_log2 is LogDouble::Log2() of the exact fold. The bound is a
-// worst-case interval/ulp argument over the fold length: in real
+// where naive_log2 is LogDouble::Log2() of the exact fold. In real
 // arithmetic log-sum-exp *is* associative, so re-association contributes
-// nothing and the error is pure rounding — at most O(n^2) floating-point
-// operations on either side, each perturbing the running log2 value by at
-// most a few ulps of its magnitude, which is bounded by the per-instance
-// constant A = sum |log2 t_v| + sum |log2 masked selectivities| +
-// max |log2 access cost| + 1. EpsLog2() = C * n^2 * DBL_EPSILON * A with a
-// generous constant C; tests/fast_eval_test.cc and tests/property_test.cc
-// assert the bound across 1000 seeded instances. Fast costs are only ever
-// used to *rank* candidates: every candidate an optimizer might accept
-// (anything not provably worse than the incumbent by more than EpsLog2())
-// is re-priced through the exact evaluator before acceptance, so final
-// (cost, sequence, status) triples are bit-identical to the exact tier.
+// nothing and the error is pure rounding — O(n^2) floating-point
+// operations on either side, each perturbing the running log2 value by a
+// few ulps of its magnitude, which is bounded by the per-instance constant
+// A = sum |log2 t_v| + sum |log2 masked selectivities| +
+// max |log2 access cost| + 1. EpsLog2() = C * n^2 * DBL_EPSILON * A with
+// C = 64 (QO_N) or 512 (QO_H). That constant is NOT proved: it is a
+// cushion over the order-of-magnitude argument above, validated on 1000
+// seeded instances by tests/fast_eval_test.cc and tests/property_test.cc.
+// No optimizer result, bench table or served plan depends on it.
 //
 // The QO_H evaluator prices pipeline-swap neighborhoods the same way. Its
 // feasibility verdict is *exact*, not approximate: memory floors are
 // folded in join order with the same linear-domain doubles the exact DP
 // uses, and reachability in the decomposition DP is cost-independent, so
-// the fast tier's feasible/infeasible answer is bit-identical to the
-// naive DP's. Only the cost carries the eps bound (its DP prunes against
-// the incumbent with an EpsLog2() slack so pruning cannot push the
-// returned minimum outside the certified interval).
+// its feasible/infeasible answer is bit-identical to the naive DP's. Only
+// the cost carries the eps bound (its DP prunes against the incumbent
+// with an EpsLog2() slack so pruning cannot push the returned minimum
+// outside that interval).
 //
 // Telemetry: qo.fast_eval.neighborhoods counts Load calls,
-// qo.fast_eval.candidates counts priced candidates. The optimizer
-// adoption sites add qo.fast_eval.certified_rejects,
-// qo.fast_eval.exact_repricings, and qo.fast_eval.ambiguous.
+// qo.fast_eval.candidates counts priced candidates.
 //
 // Thread safety: same model as qo/cost_eval.h — one evaluator per
 // optimizer run; the instance must outlive it.
@@ -110,8 +109,8 @@ class QonNeighborhoodEvaluator {
 
   int NumRelations() const { return n_; }
 
-  // Certified bound on |fast log2 cost - exact log2 cost| for any
-  // candidate priced by this evaluator (see header comment).
+  // Bound on |fast log2 cost - exact log2 cost| for any candidate priced
+  // by this evaluator: validated, not proved (see header comment).
   double EpsLog2() const { return eps_log2_; }
 
   // Lays out the swap-neighborhood state of `seq`: log2 prefix sizes,
@@ -139,11 +138,6 @@ class QonNeighborhoodEvaluator {
   // re-association freedom the exact tier does not have).
   double PriceSwap(int i, int j);
 
-  // Fast log2 cost of an arbitrary sequence, without touching the loaded
-  // neighborhood state (scratch rows only). O(n^2), branch-free inner
-  // loops. Used by population optimizers that price unrelated candidates.
-  double SequenceCostLog2(const JoinSequence& seq);
-
  private:
   int n_ = 0;
   double eps_log2_ = 0.0;
@@ -165,8 +159,8 @@ class QonNeighborhoodEvaluator {
   std::vector<double> g_mpb_, g_mpa_, g_psb_, g_ltb_, g_lwab_;
   std::vector<double> b_h1_, b_h2_;
   std::vector<double> out_;
-  // PriceSwap / SequenceCostLog2 scratch rows.
-  std::vector<double> cur_min_, cur_ps_;
+  // PriceSwap scratch row.
+  std::vector<double> cur_min_;
 };
 
 // --- QO_H ---------------------------------------------------------------

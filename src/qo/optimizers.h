@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "qo/qoh.h"
@@ -103,31 +102,6 @@ struct GaKnobs {
   int elites = 2;
 };
 
-// Which evaluator tier a local-search optimizer prices candidates with.
-//
-//   kExact — every candidate goes through the exact incremental evaluator
-//            (qo/cost_eval.h). The default.
-//   kFast  — candidates are *ranked* by the vectorized approximate
-//            evaluator (qo/fast_eval.h), which carries a certified log2
-//            error bound; any candidate not provably worse than the
-//            incumbent by more than that bound is re-priced exactly
-//            before the accept/reject decision. Final (cost, sequence,
-//            status) results are bit-identical to kExact — only the
-//            amount of exact evaluation work changes. Constructive and
-//            exact optimizers (dp, greedy, bnb, ...) ignore the knob.
-//
-// See docs/performance.md, "Evaluation tiers".
-enum class EvalTier {
-  kExact = 0,
-  kFast = 1,
-};
-
-// "exact" / "fast".
-const char* EvalTierName(EvalTier tier);
-// Parses "exact" or "fast"; returns false (leaving *tier untouched) on
-// anything else.
-bool ParseEvalTier(std::string_view text, EvalTier* tier);
-
 // The full QO_N optimizer knob surface. Every optimizer reads the knobs it
 // understands and ignores the rest, so one options value drives any
 // registry entry (see qo/registry.h) without per-algorithm positional
@@ -177,10 +151,6 @@ struct OptimizerOptions {
   // every entry invocation. Observational only: never changes results.
   // Not owned; may be null.
   FeedbackSink* feedback = nullptr;
-
-  // Candidate-pricing tier for the local-search family (ii, sa, genetic).
-  // kFast never changes final results — see EvalTier above.
-  EvalTier eval_tier = EvalTier::kExact;
 };
 
 // Relation-count limits of the exponential optimizers; larger instances

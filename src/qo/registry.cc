@@ -166,10 +166,6 @@ std::string RegistryT<Entry>::Describe() const {
   }
   out << "common knobs: --budget-evals= (deterministic evaluation cap),"
          " --deadline-ms= (wall-clock deadline)\n";
-  out << "eval tiers: --eval-tier=exact|fast — `fast` ranks local-search"
-         " candidates with the certified vectorized evaluator"
-         " (qo/fast_eval.h) and re-prices possible accepts exactly;"
-         " final plans are bit-identical across tiers\n";
   return out.str();
 }
 
@@ -216,22 +212,19 @@ const OptimizerRegistry& OptimizerRegistry::Qon() {
          {{"--samples=", "random sequences drawn"}}, RunRandom},
         {"ii", "first-improvement local search, options.restarts starts",
          false, true,
-         {{"--restarts=", "random restarts"},
-          {"--eval-tier=", "candidate pricing: exact | fast (same results)"}},
+         {{"--restarts=", "random restarts"}},
          RunIi},
         {"sa", "simulated annealing (knobs: options.sa)", false, true,
          {{"--sa-iterations=", "moves per restart"},
           {"--sa-temperature=", "initial temperature (log2-cost units)"},
           {"--sa-cooling=", "geometric cooling factor"},
-          {"--sa-restarts=", "independent annealing runs"},
-          {"--eval-tier=", "candidate pricing: exact | fast (same results)"}},
+          {"--sa-restarts=", "independent annealing runs"}},
          RunSa},
         {"genetic", "genetic algorithm (knobs: options.ga)", false, true,
          {{"--ga-population=", "individuals per generation"},
           {"--ga-generations=", "generations evolved"},
           {"--ga-crossover=", "crossover probability"},
-          {"--ga-mutation=", "mutation probability"},
-          {"--eval-tier=", "candidate pricing: exact | fast (same results)"}},
+          {"--ga-mutation=", "mutation probability"}},
          RunGenetic},
         {"bnb", "branch & bound (options.bnb_node_limit, 0 = exact)", true,
          true, {{"--bnb-node-limit=", "node budget (0 = unlimited)"}},
@@ -259,15 +252,13 @@ const QohOptimizerRegistry& QohOptimizerRegistry::Get() {
         {"random", "best of options.samples random sequences", false, true,
          {{"--samples=", "random sequences drawn"}}, RunQohRandom},
         {"ii", "adjacent-transposition local search", false, true,
-         {{"--restarts=", "random restarts"},
-          {"--eval-tier=", "candidate pricing: exact | fast (same results)"}},
+         {{"--restarts=", "random restarts"}},
          RunQohIi},
         {"sa", "simulated annealing (knobs: options.sa)", false, true,
          {{"--sa-iterations=", "moves per restart"},
           {"--sa-temperature=", "initial temperature (log2-cost units)"},
           {"--sa-cooling=", "geometric cooling factor"},
-          {"--sa-restarts=", "independent annealing runs"},
-          {"--eval-tier=", "candidate pricing: exact | fast (same results)"}},
+          {"--sa-restarts=", "independent annealing runs"}},
          RunQohSa},
         {"adaptive", "learned selection over the feedback store"
          " (docs/adaptive.md)", false, false, AdaptiveKnobSchema(),

@@ -121,12 +121,12 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(uint64_t{1}, uint64_t{99},
                                          uint64_t{2024})));
 
-// --- fast evaluation tier: certified error bound (qo/fast_eval.h) ---
+// --- neighbourhood pricing: error bound (qo/fast_eval.h) ---
 
-// The fast tier's contract is an interval argument over the fold length;
-// this sweep is the empirical side: across 1000 seeded instances, every
-// fast price (base cost and every adjacent-swap candidate) lands within
-// EpsLog2() of the exact evaluator.
+// The bound is an order-of-magnitude argument over the fold length, not a
+// proof; this sweep is its only validation: across 1000 seeded instances,
+// every fast price (base cost and every adjacent-swap candidate) lands
+// within EpsLog2() of the exact evaluator.
 TEST(FastEvalCertifiedBound, QonThousandSeedSweep) {
   for (uint64_t seed = 0; seed < 1000; ++seed) {
     Rng rng(seed);
@@ -190,10 +190,10 @@ TEST(FastEvalCertifiedBound, QohThousandSeedSweep) {
   }
 }
 
-// The re-pricing contract the optimizers rely on: rank candidates with
-// the fast tier, exactly re-price only those within 2*eps of the fast
-// minimum, and the resulting argmin (lowest index on exact ties) is the
-// argmin a fully exact pass would pick. Any candidate outside the 2*eps
+// The re-pricing scheme a fast-ranked search would rely on: rank
+// candidates with the fast prices, exactly re-price only those within
+// 2*eps of the fast minimum, and the resulting argmin (lowest index on
+// exact ties) is the argmin a fully exact pass would pick. Any candidate outside the 2*eps
 // band is certified non-minimal, so skipping its exact evaluation is
 // lossless — even on instances where every swap is exactly cost-neutral.
 TEST(FastEvalCertifiedBound, RepricedArgminMatchesExactArgmin) {

@@ -1,11 +1,10 @@
-// Tests for the SAT substrate: CNF structures, generators, DPLL, WalkSAT.
+// Tests for the SAT substrate: CNF structures, generators, DPLL, MaxSAT.
 
 #include <gtest/gtest.h>
 
 #include "sat/cnf.h"
 #include "sat/dpll.h"
 #include "sat/gen.h"
-#include "sat/walksat.h"
 #include "util/random.h"
 
 namespace aqo {
@@ -107,28 +106,6 @@ TEST(MaxSat, MatchesBruteForce) {
     CnfFormula f = RandomThreeSat(std::max(n, 3), m, &rng);
     EXPECT_EQ(MaxSatisfiableClauses(f), MaxSatBrute(f));
   }
-}
-
-TEST(WalkSat, FindsModelsOfEasyFormulas) {
-  Rng rng(35);
-  int found = 0;
-  for (int trial = 0; trial < 10; ++trial) {
-    CnfFormula f = PlantedSatisfiableThreeSat(25, 60, &rng);
-    WalkSatResult r = RunWalkSat(f, &rng, 20000);
-    EXPECT_EQ(r.satisfied, f.CountSatisfied(r.assignment));
-    found += r.found_model ? 1 : 0;
-  }
-  EXPECT_GE(found, 8);  // local search should crack most easy instances
-}
-
-TEST(WalkSat, ReportsBestOnUnsat) {
-  CnfFormula f(1);
-  f.AddClause({1});
-  f.AddClause({-1});
-  Rng rng(36);
-  WalkSatResult r = RunWalkSat(f, &rng, 100);
-  EXPECT_FALSE(r.found_model);
-  EXPECT_EQ(r.satisfied, 1);
 }
 
 TEST(BoundOccurrences, ProducesThreeSat13) {

@@ -13,6 +13,7 @@
 
 #include "qo/adaptive.h"
 #include "qo/fingerprint.h"
+#include "qo/overload.h"
 #include "qo/plan_cache.h"
 #include "qo/registry.h"
 #include "qo/service.h"
@@ -99,6 +100,8 @@ void ExpectSameItems(const std::string& label, const std::vector<Item>& a,
     EXPECT_EQ(a[i].fingerprint, b[i].fingerprint) << label << " item " << i;
     EXPECT_EQ(a[i].result.feasible, b[i].result.feasible)
         << label << " item " << i;
+    EXPECT_EQ(a[i].result.status, b[i].result.status)
+        << label << " item " << i;
     if (!a[i].result.feasible) continue;
     EXPECT_EQ(a[i].result.cost.Log2(), b[i].result.cost.Log2())
         << label << " item " << i;
@@ -109,87 +112,81 @@ void ExpectSameItems(const std::string& label, const std::vector<Item>& a,
   }
 }
 
-// Tier-differential variant of ExpectSameItems: the fast tier changes how
-// much exact evaluation work runs (result.evaluations counts exact
-// re-pricings only), so the contract is every *plan* bit — feasibility,
-// cost bits, sequence — not the effort counter.
-template <typename Item>
-void ExpectSamePlans(const std::string& label, const std::vector<Item>& a,
-                     const std::vector<Item>& b) {
-  ASSERT_EQ(a.size(), b.size()) << label;
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].fingerprint, b[i].fingerprint) << label << " item " << i;
-    EXPECT_EQ(a[i].result.feasible, b[i].result.feasible)
-        << label << " item " << i;
-    if (!a[i].result.feasible) continue;
-    EXPECT_EQ(a[i].result.cost.Log2(), b[i].result.cost.Log2())
-        << label << " item " << i;
-    EXPECT_EQ(a[i].result.sequence, b[i].result.sequence)
-        << label << " item " << i;
-  }
-}
-
-TEST(ServiceDifferential, QonEvalTierNeverChangesAnyPlanBit) {
-  std::vector<QonInstance> batch = QonBatchInstances();
+// The overload governor degrades a request by running the same entry
+// with its effort knobs clamped (qo/overload.h), and the degraded plan is
+// cached like any other. It may only be served to a request whose own
+// cold run yields the same bits. Here the request's knobs already sit at
+// the clamps, so the degraded and undegraded runs share one cache key: the
+// undegraded request, uncapped and capped at 200 evaluations, must match
+// its cold uncached run bit for bit, evaluations and status included.
+TEST(ServiceDifferential, QonDegradedEntriesMatchUndegradedColdRuns) {
+  Rng rng(44);
+  std::vector<QonInstance> batch;
+  for (int i = 0; i < 3; ++i) batch.push_back(RandomQonWorkload(20, &rng));
+  OptimizerOptions knobs;  // at DegradeQon's clamps
+  knobs.restarts = 2;
+  knobs.sa.restarts = 1;
+  knobs.sa.iterations = 2000;
+  knobs.ga.population = 16;
+  knobs.ga.generations = 16;
   for (const char* name : {"ii", "sa", "genetic"}) {
-    BatchOptions options;
-    options.optimizer = name;
-    options.qon = FastQonKnobs();
-    options.seed = kSeed;
+    for (uint64_t cap : {uint64_t{0}, uint64_t{200}}) {
+      std::string label = std::string(name) + " cap=" + std::to_string(cap);
+      BatchOptions options;
+      options.optimizer = name;
+      options.qon = knobs;
+      options.qon.budget.max_evaluations = cap;
+      options.seed = kSeed;
+      std::vector<QonBatchItem> cold = OptimizeQonBatch(batch, options);
 
-    // Reference: exact tier, serial, cache off.
-    std::vector<QonBatchItem> reference = OptimizeQonBatch(batch, options);
+      PlanCache cache;
+      BatchOptions degraded = options;
+      degraded.cache = &cache;
+      ASSERT_EQ(DegradeQon(name, &degraded.qon), name) << label;
+      OptimizeQonBatch(batch, degraded);
 
-    BatchOptions fast = options;
-    fast.qon.eval_tier = EvalTier::kFast;
-    for (int threads : kThreadCounts) {
-      ThreadPool pool(threads);
-      std::string label =
-          std::string(name) + " fast threads=" + std::to_string(threads);
-      fast.pool = &pool;
-
-      fast.cache = nullptr;
-      ExpectSamePlans(label + " nocache", reference,
-                      OptimizeQonBatch(batch, fast));
-
-      PlanCache cold_cache;
-      fast.cache = &cold_cache;
-      ExpectSamePlans(label + " cold", reference,
-                      OptimizeQonBatch(batch, fast));
-      ExpectSamePlans(label + " warm", reference,
-                      OptimizeQonBatch(batch, fast));
+      options.cache = &cache;
+      std::vector<QonBatchItem> served = OptimizeQonBatch(batch, options);
+      ExpectSameItems(label, cold, served);
+      for (size_t i = 0; i < served.size(); ++i) {
+        EXPECT_TRUE(served[i].from_cache) << label << " item " << i;
+      }
     }
   }
 }
 
-TEST(ServiceDifferential, QohEvalTierNeverChangesAnyPlanBit) {
-  std::vector<QohInstance> batch = QohBatchInstances();
+TEST(ServiceDifferential, QohDegradedEntriesMatchUndegradedColdRuns) {
+  Rng rng(45);
+  std::vector<QohInstance> batch;
+  for (int i = 0; i < 3; ++i) {
+    batch.push_back(RandomQohWorkload(12, &rng, 0.5));
+  }
+  QohOptimizerOptions knobs;  // at DegradeQoh's clamps
+  knobs.restarts = 2;
+  knobs.sa.restarts = 1;
+  knobs.sa.iterations = 1000;
   for (const char* name : {"ii", "sa"}) {
-    BatchOptions options;
-    options.optimizer = name;
-    options.qoh = FastQohKnobs();
-    options.seed = kSeed;
+    for (uint64_t cap : {uint64_t{0}, uint64_t{200}}) {
+      std::string label = std::string(name) + " cap=" + std::to_string(cap);
+      BatchOptions options;
+      options.optimizer = name;
+      options.qoh = knobs;
+      options.qoh.budget.max_evaluations = cap;
+      options.seed = kSeed;
+      std::vector<QohBatchItem> cold = OptimizeQohBatch(batch, options);
 
-    std::vector<QohBatchItem> reference = OptimizeQohBatch(batch, options);
+      PlanCache cache;
+      BatchOptions degraded = options;
+      degraded.cache = &cache;
+      ASSERT_EQ(DegradeQoh(name, &degraded.qoh), name) << label;
+      OptimizeQohBatch(batch, degraded);
 
-    BatchOptions fast = options;
-    fast.qoh.eval_tier = EvalTier::kFast;
-    for (int threads : kThreadCounts) {
-      ThreadPool pool(threads);
-      std::string label =
-          std::string(name) + " fast threads=" + std::to_string(threads);
-      fast.pool = &pool;
-
-      fast.cache = nullptr;
-      ExpectSamePlans(label + " nocache", reference,
-                      OptimizeQohBatch(batch, fast));
-
-      PlanCache cold_cache;
-      fast.cache = &cold_cache;
-      ExpectSamePlans(label + " cold", reference,
-                      OptimizeQohBatch(batch, fast));
-      ExpectSamePlans(label + " warm", reference,
-                      OptimizeQohBatch(batch, fast));
+      options.cache = &cache;
+      std::vector<QohBatchItem> served = OptimizeQohBatch(batch, options);
+      ExpectSameItems(label, cold, served);
+      for (size_t i = 0; i < served.size(); ++i) {
+        EXPECT_TRUE(served[i].from_cache) << label << " item " << i;
+      }
     }
   }
 }

@@ -13,9 +13,9 @@
 // (one invocation with both flags on the command line)
 //
 // One run emits both snapshots: the incremental-vs-naive comparison
-// (BENCH_COST_EVAL.json) and the certified fast tier vs exact
+// (BENCH_COST_EVAL.json) and approximate (qo/fast_eval.h) vs exact
 // neighborhood pricing (BENCH_FAST_EVAL.json, which also records whether
-// the fast tier ran its SIMD or scalar kernels).
+// the approximate pricing ran its SIMD or scalar kernels).
 //
 // Workloads are fully seeded (instances, start sequences, and the swap
 // schedule), so reruns on the same machine are directly comparable; only
@@ -203,7 +203,7 @@ Row MeasureQohSwap(int n, double min_seconds) {
   return {"qoh", "swap", n, naive, fast};
 }
 
-// Double sink for the raw log2 prices of the fast tier.
+// Double sink for the raw log2 prices of the approximate pricing.
 double g_fast_sink;
 
 // Neighborhood pricing: all n-1 adjacent transpositions of one sequence,
