@@ -326,8 +326,6 @@ ParseResult<Graph> ParseGraph(std::istream& is) {
   return ParseGraph(ReadAll(is));
 }
 
-Graph ReadGraph(std::istream& is) { return Checked(ParseGraph(is)); }
-
 void WriteDimacs(const CnfFormula& f, std::ostream& os) {
   os << "p cnf " << f.num_vars() << " " << f.NumClauses() << "\n";
   for (const Clause& c : f.clauses()) {
@@ -382,8 +380,6 @@ ParseResult<CnfFormula> ParseDimacs(std::string_view text) {
 ParseResult<CnfFormula> ParseDimacs(std::istream& is) {
   return ParseDimacs(ReadAll(is));
 }
-
-CnfFormula ReadDimacs(std::istream& is) { return Checked(ParseDimacs(is)); }
 
 void WriteQonInstance(const QonInstance& inst, std::ostream& os) {
   int n = inst.NumRelations();
@@ -458,10 +454,6 @@ ParseResult<QonInstance> ParseQonInstance(std::istream& is) {
   return ParseQonInstance(ReadAll(is));
 }
 
-QonInstance ReadQonInstance(std::istream& is) {
-  return Checked(ParseQonInstance(is));
-}
-
 void WriteQohInstance(const QohInstance& inst, std::ostream& os) {
   int n = inst.NumRelations();
   char memory[40];
@@ -515,10 +507,6 @@ ParseResult<QohInstance> ParseQohInstance(std::string_view text) {
 
 ParseResult<QohInstance> ParseQohInstance(std::istream& is) {
   return ParseQohInstance(ReadAll(is));
-}
-
-QohInstance ReadQohInstance(std::istream& is) {
-  return Checked(ParseQohInstance(is));
 }
 
 std::string GraphToString(const Graph& g) {

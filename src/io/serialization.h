@@ -53,8 +53,8 @@
 // Error handling: the Parse* readers never abort on malformed input —
 // they validate every line (tags, indices, ranges, duplicates, semantic
 // constraints like selectivity <= 1) and return a ParseResult carrying
-// either the value or a one-line reason. The legacy Read* readers are
-// thin AQO_CHECK wrappers over them, for callers whose inputs are
+// either the value or a one-line reason. The *FromString conveniences are
+// AQO_CHECK wrappers over them, for tests whose inputs are
 // program-generated and therefore trusted. User-facing tools must use
 // Parse* and report `error: <file>: <reason>`.
 
@@ -103,19 +103,12 @@ ParseResult<QohInstance> ParseQohInstance(std::istream& is);
 std::string_view FirstTag(std::string_view text);
 
 void WriteGraph(const Graph& g, std::ostream& os);
-// Aborts on malformed input (AQO_CHECK wrapper over ParseGraph).
-Graph ReadGraph(std::istream& is);
-
 void WriteDimacs(const CnfFormula& f, std::ostream& os);
-CnfFormula ReadDimacs(std::istream& is);
-
 void WriteQonInstance(const QonInstance& inst, std::ostream& os);
-QonInstance ReadQonInstance(std::istream& is);
-
 void WriteQohInstance(const QohInstance& inst, std::ostream& os);
-QohInstance ReadQohInstance(std::istream& is);
 
-// Convenience string round-trips (used by tests and the CLI tools).
+// Convenience string round-trips for tests; the readers abort on
+// malformed input.
 std::string GraphToString(const Graph& g);
 Graph GraphFromString(const std::string& s);
 std::string QonToString(const QonInstance& inst);

@@ -14,6 +14,7 @@
 
 #include "obs/metrics.h"
 #include "obs/runlog.h"
+#include "qo/family.h"
 #include "qo/persist.h"
 #include "qo/registry.h"
 #include "util/check.h"
@@ -300,7 +301,7 @@ void FillCommonFeatures(const Instance& inst, InstanceFeatures* f) {
 
 }  // namespace
 
-InstanceFeatures ExtractQonFeatures(const CanonicalQon& canon) {
+InstanceFeatures ExtractFeatures(const CanonicalQon& canon) {
   const QonInstance& inst = canon.instance;
   InstanceFeatures f;
   FillCommonFeatures(inst, &f);
@@ -324,7 +325,7 @@ InstanceFeatures ExtractQonFeatures(const CanonicalQon& canon) {
   return f;
 }
 
-InstanceFeatures ExtractQohFeatures(const CanonicalQoh& canon) {
+InstanceFeatures ExtractFeatures(const CanonicalQoh& canon) {
   const QohInstance& inst = canon.instance;
   InstanceFeatures f;
   FillCommonFeatures(inst, &f);
@@ -430,37 +431,23 @@ bool DecodeFeedbackPayload(std::string_view payload, FeedbackRecord* out,
 
 // --- Knob hashing ---
 
-uint64_t AdaptiveKnobHash(const OptimizerOptions& options) {
-  HashAccumulator acc(0x716f6e5f6b6e6f62ULL);  // "qon_knob"
-  acc.Add(options.forbid_cartesian ? 1 : 0);
-  acc.Add(static_cast<uint64_t>(options.samples));
-  acc.Add(static_cast<uint64_t>(options.restarts));
-  acc.Add(static_cast<uint64_t>(options.sa.iterations));
-  acc.AddDouble(options.sa.initial_temperature);
-  acc.AddDouble(options.sa.cooling);
-  acc.Add(static_cast<uint64_t>(options.sa.restarts));
-  acc.Add(static_cast<uint64_t>(options.ga.population));
-  acc.Add(static_cast<uint64_t>(options.ga.generations));
-  acc.AddDouble(options.ga.crossover_rate);
-  acc.AddDouble(options.ga.mutation_rate);
-  acc.Add(static_cast<uint64_t>(options.ga.tournament));
-  acc.Add(static_cast<uint64_t>(options.ga.elites));
-  acc.Add(options.bnb_node_limit);
-  acc.Add(options.budget.max_evaluations);
+namespace {
+
+template <typename Family>
+uint64_t KnobHash(const typename Family::Options& options) {
+  HashAccumulator acc(Family::kKnobTag);
+  Family::AddResultKnobs(&acc, options);
   return acc.Digest().lo;
 }
 
+}  // namespace
+
+uint64_t AdaptiveKnobHash(const OptimizerOptions& options) {
+  return KnobHash<QonFamily>(options);
+}
+
 uint64_t AdaptiveKnobHash(const QohOptimizerOptions& options) {
-  HashAccumulator acc(0x716f685f6b6e6f62ULL);  // "qoh_knob"
-  acc.Add(static_cast<uint64_t>(options.samples));
-  acc.Add(static_cast<uint64_t>(options.restarts));
-  acc.Add(static_cast<uint64_t>(static_cast<int64_t>(options.sentinel_first)));
-  acc.Add(static_cast<uint64_t>(options.sa.iterations));
-  acc.AddDouble(options.sa.initial_temperature);
-  acc.AddDouble(options.sa.cooling);
-  acc.Add(static_cast<uint64_t>(options.sa.restarts));
-  acc.Add(options.budget.max_evaluations);
-  return acc.Digest().lo;
+  return KnobHash<QohFamily>(options);
 }
 
 // --- FeedbackStore ---
@@ -727,81 +714,81 @@ std::vector<std::string> DefaultAdaptiveCandidates(AdaptiveFamily family) {
 
 namespace {
 
-struct QonAdaptiveTraits {
-  using Instance = QonInstance;
-  using Options = OptimizerOptions;
-  using Result = OptimizerResult;
-  using Canonical = CanonicalQon;
-  using Entry = QonOptimizerEntry;
-  static constexpr AdaptiveFamily kFamily = AdaptiveFamily::kQon;
-  static Canonical Canonicalize(const Instance& inst) {
-    return CanonicalizeQon(inst);
-  }
-  static InstanceFeatures Features(const Canonical& canon) {
-    return ExtractQonFeatures(canon);
-  }
-  static const Entry* FindEntry(std::string_view name) {
-    return OptimizerRegistry::Qon().Find(name);
-  }
-  static void RemapToCanonical(Options*, const Canonical&) {}
-};
-
-struct QohAdaptiveTraits {
-  using Instance = QohInstance;
-  using Options = QohOptimizerOptions;
-  using Result = QohOptimizerResult;
-  using Canonical = CanonicalQoh;
-  using Entry = QohOptimizerEntry;
-  static constexpr AdaptiveFamily kFamily = AdaptiveFamily::kQoh;
-  static Canonical Canonicalize(const Instance& inst) {
-    return CanonicalizeQoh(inst);
-  }
-  static InstanceFeatures Features(const Canonical& canon) {
-    return ExtractQohFeatures(canon);
-  }
-  static const Entry* FindEntry(std::string_view name) {
-    return QohOptimizerRegistry::Get().Find(name);
-  }
-  static void RemapToCanonical(Options* options, const Canonical& canon) {
-    if (options->sentinel_first >= 0) {
-      options->sentinel_first = canon.to_canonical[static_cast<size_t>(
-          options->sentinel_first)];
-    }
-  }
-};
+template <typename Family>
+constexpr AdaptiveFamily kAdaptiveFamily = Family::kName == QonFamily::kName
+                                               ? AdaptiveFamily::kQon
+                                               : AdaptiveFamily::kQoh;
 
 std::string FallbackName(const AdaptiveKnobs& knobs) {
   return knobs.fallback.empty() ? "greedy" : knobs.fallback;
 }
 
-template <typename Traits>
-std::string EntryDomainErrorT(const typename Traits::Entry& entry,
-                              const AdaptiveKnobs& knobs, int n) {
-  if (!entry.InDomain(n)) return entry.DomainError(n);
-  if (entry.name != "adaptive") return "";
-  const typename Traits::Entry* fallback =
-      Traits::FindEntry(FallbackName(knobs));
-  if (fallback == nullptr) {
-    return "adaptive fallback: unknown optimizer '" + FallbackName(knobs) +
-           "'";
+// The magnitude domain (kMaxInstanceLog2Magnitude). Let M be the sum of
+// |log2 t_i| over the sizes and |log2 s_e| over the selectivities.
+//   * N(X) = prod_{i in X} t_i prod_{e in X} s_e: |log2 N(X)| <= M.
+//   * A QO_N access cost w_kj lies in [t_j s_kj, t_j] (the parser and
+//     QonInstance::Validate enforce it) and j is outside X, so a join cost
+//     N(X) w_kj uses each factor at most once: |log2| <= M.
+//   * A QO_H join costs (N + t) g + t with g in [0, 1]; hjmin(t) = t^eta
+//     with eta < 1; a pipeline sums at most n + 2 such terms.
+//   * A sum of k <= n^2 terms adds at most log2 k <= 24 (n <= 4096, the
+//     parsers' ceiling) to its largest exponent, and a difference of two
+//     exponents, as the kernels' skip tests form, at most doubles it.
+// So every exponent stays below 2M + 64 in magnitude, and M <= 1e300 is a
+// factor of 10^8 below DBL_MAX: no fold reaches +inf, which
+// LogDouble::FromLog2 refuses and the QO_N subset-DP kernel reads as "no
+// plan". The largest library-built gap instance, E5's alpha = 2^60000 over
+// 512 relations, has M < 4e6 (tests/domain_test.cc).
+template <typename Instance>
+std::string InstanceMagnitudeError(const Instance& inst) {
+  double m = 0.0;
+  for (int i = 0; i < inst.NumRelations(); ++i) {
+    m += std::fabs(inst.size(i).Log2());
   }
-  if (!fallback->InDomain(n)) {
-    return "adaptive fallback: " + fallback->DomainError(n);
+  for (const auto& [u, v] : inst.graph().Edges()) {
+    m += std::fabs(inst.selectivity(u, v).Log2());
   }
-  // The knobs are shared by both families, so a name can be known in one
-  // registry and unknown in the other.
-  for (const std::string& name : ParseOptimizerList(knobs.candidates)) {
-    if (Traits::FindEntry(name) == nullptr) {
-      return "adaptive candidate: unknown optimizer '" + name + "'";
-    }
-  }
-  return "";
+  if (m <= kMaxInstanceLog2Magnitude) return "";
+  char text[96];
+  std::snprintf(text, sizeof(text),
+                "sum of |log2 size| and |log2 selectivity| is %g, above %g",
+                m, kMaxInstanceLog2Magnitude);
+  return text;
 }
 
-template <typename Traits>
-typename Traits::Result AdaptiveRun(const typename Traits::Instance& inst,
-                                    const typename Traits::Options& options) {
-  using Result = typename Traits::Result;
+template <typename Family>
+std::string EntryDomainErrorT(const typename Family::Entry& entry,
+                              const AdaptiveKnobs& knobs,
+                              const typename Family::Instance& inst) {
+  const int n = inst.NumRelations();
+  if (!entry.InDomain(n)) return entry.DomainError(n);
+  if (entry.name == "adaptive") {
+    const typename Family::Entry* fallback =
+        Family::Registry().Find(FallbackName(knobs));
+    if (fallback == nullptr) {
+      return "adaptive fallback: unknown optimizer '" + FallbackName(knobs) +
+             "'";
+    }
+    if (!fallback->InDomain(n)) {
+      return "adaptive fallback: " + fallback->DomainError(n);
+    }
+    // The knobs are shared by both families, so a name can be known in
+    // one registry and unknown in the other.
+    for (const std::string& name : ParseOptimizerList(knobs.candidates)) {
+      if (Family::Registry().Find(name) == nullptr) {
+        return "adaptive candidate: unknown optimizer '" + name + "'";
+      }
+    }
+  }
+  return InstanceMagnitudeError(inst);
+}
+
+template <typename Family>
+typename Family::Result AdaptiveRun(const typename Family::Instance& inst,
+                                    const typename Family::Options& options) {
+  using Result = typename Family::Result;
+  using Entry = typename Family::Entry;
+  constexpr AdaptiveFamily kFamily = kAdaptiveFamily<Family>;
   const AdaptiveKnobs& knobs = options.adaptive;
   FeedbackStore& store =
       knobs.store != nullptr ? *knobs.store : FeedbackStore::Default();
@@ -809,14 +796,13 @@ typename Traits::Result AdaptiveRun(const typename Traits::Instance& inst,
   // Canonicalize (idempotent when the batch service already did): the
   // features, the decision, and both inner runs live in canonical labels,
   // so 1-WL-equivalent relabelings decide and plan identically.
-  typename Traits::Canonical canon = Traits::Canonicalize(inst);
-  InstanceFeatures features = Traits::Features(canon);
+  typename Family::Canonical canon = Family::Canonicalize(inst);
+  InstanceFeatures features = ExtractFeatures(canon);
   uint64_t decision_seed = MixSeed(knobs.seed, canon.fingerprint.lo);
   const int n = canon.instance.NumRelations();
 
   // Resolve the fallback and candidate set against the family registry.
-  const typename Traits::Entry* fallback_entry =
-      Traits::FindEntry(FallbackName(knobs));
+  const Entry* fallback_entry = Family::Registry().Find(FallbackName(knobs));
   AQO_CHECK(fallback_entry != nullptr)
       << "adaptive: unknown fallback optimizer: " << knobs.fallback;
   const std::string& fallback = fallback_entry->name;
@@ -830,7 +816,7 @@ typename Traits::Result AdaptiveRun(const typename Traits::Instance& inst,
   std::vector<std::string> candidates;
   {
     std::vector<std::string> requested =
-        knobs.candidates.empty() ? DefaultAdaptiveCandidates(Traits::kFamily)
+        knobs.candidates.empty() ? DefaultAdaptiveCandidates(kFamily)
                                  : ParseOptimizerList(knobs.candidates);
     AQO_CHECK(!requested.empty()) << "adaptive: empty candidate list";
     auto add = [&candidates](const std::string& name) {
@@ -843,7 +829,7 @@ typename Traits::Result AdaptiveRun(const typename Traits::Instance& inst,
     // decision, so the store can learn it is (or is not) good enough.
     add(fallback);
     for (const std::string& name : requested) {
-      const typename Traits::Entry* entry = Traits::FindEntry(name);
+      const Entry* entry = Family::Registry().Find(name);
       AQO_CHECK(entry != nullptr)
           << "adaptive: unknown candidate optimizer: " << name;
       AQO_CHECK(entry->name != "adaptive")
@@ -857,15 +843,15 @@ typename Traits::Result AdaptiveRun(const typename Traits::Instance& inst,
   // Inner options: canonical-label knobs, no outcome reporting (the
   // registry reports one RunOutcome for the adaptive invocation itself;
   // the inner runs feed the store directly).
-  typename Traits::Options inner = options;
+  typename Family::Options inner = options;
   inner.feedback = nullptr;
-  Traits::RemapToCanonical(&inner, canon);
+  Family::ToCanonicalKnobs(&inner, canon);
   uint64_t knob_hash = AdaptiveKnobHash(inner);
 
   double quality_target =
       knobs.quality_target < 1.0 ? 1.0 : knobs.quality_target;
   Recommendation rec = store.Recommend(
-      features, Traits::kFamily, candidates, knob_hash, quality_target,
+      features, kFamily, candidates, knob_hash, quality_target,
       knobs.k_neighbors, knobs.min_trials, decision_seed);
 
   // The fallback always runs, on an Rng derived only from the decision
@@ -878,8 +864,7 @@ typename Traits::Result AdaptiveRun(const typename Traits::Instance& inst,
   Result chosen_result;
   bool ran_chosen = false;
   if (rec.optimizer != fallback) {
-    const typename Traits::Entry* chosen_entry =
-        Traits::FindEntry(rec.optimizer);
+    const Entry* chosen_entry = Family::Registry().Find(rec.optimizer);
     AQO_CHECK(chosen_entry != nullptr);
     Rng chosen_rng(MixSeed(decision_seed, kChosenStream));
     chosen_result = chosen_entry->run(canon.instance, inner, &chosen_rng);
@@ -899,7 +884,7 @@ typename Traits::Result AdaptiveRun(const typename Traits::Instance& inst,
   if (ran_chosen) consider(chosen_result);
   auto record_of = [&](const std::string& name, const Result& r) {
     FeedbackRecord fr;
-    fr.family = Traits::kFamily;
+    fr.family = kFamily;
     fr.optimizer = name;
     fr.knob_hash = knob_hash;
     fr.features = features;
@@ -933,7 +918,7 @@ typename Traits::Result AdaptiveRun(const typename Traits::Instance& inst,
   if (obs::RunLog::Global() != nullptr) {
     obs::JsonValue record = obs::JsonValue::Object();
     record["type"] = "adaptive_decision";
-    record["family"] = AdaptiveFamilyName(Traits::kFamily);
+    record["family"] = AdaptiveFamilyName(kFamily);
     record["fingerprint"] =
         HexU64(canon.fingerprint.lo) + HexU64(canon.fingerprint.hi).substr(2);
     record["features"] = FeaturesJson(features);
@@ -981,25 +966,27 @@ typename Traits::Result AdaptiveRun(const typename Traits::Instance& inst,
 }  // namespace
 
 std::string EntryDomainError(const QonOptimizerEntry& entry,
-                             const OptimizerOptions& options, int n) {
-  return EntryDomainErrorT<QonAdaptiveTraits>(entry, options.adaptive, n);
+                             const OptimizerOptions& options,
+                             const QonInstance& inst) {
+  return EntryDomainErrorT<QonFamily>(entry, options.adaptive, inst);
 }
 
 std::string EntryDomainError(const QohOptimizerEntry& entry,
-                             const QohOptimizerOptions& options, int n) {
-  return EntryDomainErrorT<QohAdaptiveTraits>(entry, options.adaptive, n);
+                             const QohOptimizerOptions& options,
+                             const QohInstance& inst) {
+  return EntryDomainErrorT<QohFamily>(entry, options.adaptive, inst);
 }
 
 OptimizerResult AdaptiveQonOptimizer(const QonInstance& inst,
                                      const OptimizerOptions& options,
                                      Rng* /*rng*/) {
-  return AdaptiveRun<QonAdaptiveTraits>(inst, options);
+  return AdaptiveRun<QonFamily>(inst, options);
 }
 
 QohOptimizerResult AdaptiveQohOptimizer(const QohInstance& inst,
                                         const QohOptimizerOptions& options,
                                         Rng* /*rng*/) {
-  return AdaptiveRun<QohAdaptiveTraits>(inst, options);
+  return AdaptiveRun<QohFamily>(inst, options);
 }
 
 uint64_t CommitAdaptiveFeedback(const AdaptiveKnobs& knobs) {

@@ -86,8 +86,8 @@ struct InstanceFeatures {
   uint64_t wl_class = 0;  // fingerprint.lo: the 1-WL canonical class id
 };
 
-InstanceFeatures ExtractQonFeatures(const CanonicalQon& canon);
-InstanceFeatures ExtractQohFeatures(const CanonicalQoh& canon);
+InstanceFeatures ExtractFeatures(const CanonicalQon& canon);
+InstanceFeatures ExtractFeatures(const CanonicalQoh& canon);
 
 // One observed optimizer run, keyed by the instance's features.
 struct FeedbackRecord {
@@ -217,18 +217,28 @@ class FeedbackStore {
 // registry; never contains "adaptive").
 std::vector<std::string> DefaultAdaptiveCandidates(AdaptiveFamily family);
 
-// Domain admission for running `entry` under `options` on an n-relation
-// instance (docs/robustness.md): "" when it can run, else the reason.
-// Outside the entry's own domain that is entry.DomainError(n). For
+// The magnitude domain: the sum of |log2 size| over an instance's
+// relations and |log2 selectivity| over its edges must not exceed this
+// bound, so that every fold of either cost model stays finite (derivation
+// at InstanceMagnitudeError in qo/adaptive.cc).
+inline constexpr double kMaxInstanceLog2Magnitude = 1e300;
+
+// Domain admission for running `entry` under `options` on `inst`
+// (docs/robustness.md): "" when it can run, else the reason. Outside the
+// entry's own relation-count domain that is entry.DomainError(n). For
 // `adaptive` it is also its fallback's domain error, or a fallback or
 // candidate name this family's registry does not know: the fallback
 // always runs, while out-of-domain candidates are only dropped before
-// the decision. Front-ends call this before running anything; the
-// adaptive run CHECK-fails where it is non-empty.
+// the decision. Last, an instance outside the magnitude domain is
+// refused for every entry. Front-ends (aqo_serve and the batch service)
+// call this before running anything; the adaptive run CHECK-fails where
+// it is non-empty.
 std::string EntryDomainError(const QonOptimizerEntry& entry,
-                             const OptimizerOptions& options, int n);
+                             const OptimizerOptions& options,
+                             const QonInstance& inst);
 std::string EntryDomainError(const QohOptimizerEntry& entry,
-                             const QohOptimizerOptions& options, int n);
+                             const QohOptimizerOptions& options,
+                             const QohInstance& inst);
 
 // The meta-optimizers behind the `adaptive` registry entries. The Rng
 // parameter is never consumed (may be null); see the determinism contract

@@ -63,11 +63,6 @@ void RowMinScalar(double* AQO_RESTRICT dst, const double* AQO_RESTRICT a,
   for (int i = 0; i < n; ++i) dst[i] = a[i] < b[i] ? a[i] : b[i];
 }
 
-void RowAddInPlaceScalar(double* AQO_RESTRICT dst,
-                         const double* AQO_RESTRICT src, int n) {
-  for (int i = 0; i < n; ++i) dst[i] += src[i];
-}
-
 void RowMinInPlaceScalar(double* AQO_RESTRICT dst,
                          const double* AQO_RESTRICT src, int n) {
   for (int i = 0; i < n; ++i) dst[i] = src[i] < dst[i] ? src[i] : dst[i];
@@ -98,16 +93,6 @@ void RowMin(double* AQO_RESTRICT dst, const double* AQO_RESTRICT a,
   for (; i < n; ++i) dst[i] = a[i] < b[i] ? a[i] : b[i];
 }
 
-void RowAddInPlace(double* AQO_RESTRICT dst, const double* AQO_RESTRICT src,
-                   int n) {
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(dst + i, _mm256_add_pd(_mm256_loadu_pd(dst + i),
-                                            _mm256_loadu_pd(src + i)));
-  }
-  for (; i < n; ++i) dst[i] += src[i];
-}
-
 void RowMinInPlace(double* AQO_RESTRICT dst, const double* AQO_RESTRICT src,
                    int n) {
   int i = 0;
@@ -128,11 +113,6 @@ void RowAdd(double* AQO_RESTRICT dst, const double* AQO_RESTRICT a,
 void RowMin(double* AQO_RESTRICT dst, const double* AQO_RESTRICT a,
             const double* AQO_RESTRICT b, int n) {
   RowMinScalar(dst, a, b, n);
-}
-
-void RowAddInPlace(double* AQO_RESTRICT dst, const double* AQO_RESTRICT src,
-                   int n) {
-  RowAddInPlaceScalar(dst, src, n);
 }
 
 void RowMinInPlace(double* AQO_RESTRICT dst, const double* AQO_RESTRICT src,

@@ -84,14 +84,10 @@ void RowMinScalar(double* AQO_RESTRICT dst, const double* AQO_RESTRICT a,
                   const double* AQO_RESTRICT b, int n);
 void RowAddScalar(double* AQO_RESTRICT dst, const double* AQO_RESTRICT a,
                   const double* AQO_RESTRICT b, int n);
-// In-place folds: dst = min(dst, src) / dst += src.
+// In-place fold: dst = min(dst, src).
 void RowMinInPlace(double* AQO_RESTRICT dst, const double* AQO_RESTRICT src,
                    int n);
-void RowAddInPlace(double* AQO_RESTRICT dst, const double* AQO_RESTRICT src,
-                   int n);
 void RowMinInPlaceScalar(double* AQO_RESTRICT dst,
-                         const double* AQO_RESTRICT src, int n);
-void RowAddInPlaceScalar(double* AQO_RESTRICT dst,
                          const double* AQO_RESTRICT src, int n);
 
 // log2(2^a + 2^b) with -infinity as the additive identity — the raw-double

@@ -14,8 +14,8 @@
 //     of request units per arrival (the capacity the server is assumed
 //     to clear between arrivals);
 //   * a cost bucket accumulates per-request work estimates
-//     (EstimateCostUnits: a deterministic function of family, optimizer
-//     name, and n — roughly "evaluations this request will burn"); it
+//     (EstimateCostUnits: a deterministic function of the registry entry,
+//     its knobs, and n — roughly "evaluations this request will burn"); it
 //     drains a fixed number of cost units per arrival.
 //
 // Pressure is the fuller bucket's fill fraction, reported in permille.
@@ -23,11 +23,15 @@
 //
 //   tier 0 (admit)   pressure <  degrade threshold  — run as requested
 //   tier 1 (degrade) pressure >= degrade threshold  — rewrite to the
-//            declared cheap fallback (DegradeQon/DegradeQoh: dp → greedy,
-//            SA/GA restart counts clamped, ...) and stamp the response
-//            degraded=1
+//            entry's declared cheap fallback or effort clamp (Degrade:
+//            dp → greedy, SA/GA restart counts clamped, ...) and stamp
+//            the response degraded=1
 //   tier 2 (shed)    admitting would overflow a bucket — reject with
 //            `err <id> shed: <reason>` before any optimization work
+//
+// The work estimate and the degrade rule are declared on each registry
+// entry (OptimizerEntryT::work / degrade_to / clamp, qo/registry.cc), so
+// this module names no optimizer.
 //
 // Same request stream + same thresholds => byte-identical shed and
 // degrade sets, across runs and thread counts (tests/overload_test.cc).
@@ -43,8 +47,8 @@
 #include <cstdint>
 #include <string>
 
-#include "qo/optimizers.h"
-#include "qo/qoh_optimizers.h"
+#include "qo/registry.h"
+#include "util/cancellation.h"
 
 namespace aqo {
 
@@ -89,21 +93,35 @@ struct OverloadDecision {
   std::string reason;
 };
 
-// Deterministic per-request work estimate in "cost units" (roughly cost
-// evaluations, clamped to 2^50). Unknown optimizer names estimate like
-// the family's most expensive entry, so a typo can only over-throttle.
-double EstimateQonCostUnits(std::string_view optimizer,
-                            const OptimizerOptions& options, int n);
-double EstimateQohCostUnits(std::string_view optimizer,
-                            const QohOptimizerOptions& options, int n);
+// n! via lgamma, saturating at 2^50: the work rule of the exhaustive
+// entries.
+double Factorial(int n);
 
-// The declared degradation rewrites. Both return the effective optimizer
-// name and clamp `options` in place; when the entry is already at or
-// below the fallback's cost the name passes through unchanged (greedy
-// stays greedy). Deterministic: same inputs, same rewrite.
-std::string DegradeQon(std::string_view optimizer, OptimizerOptions* options);
-std::string DegradeQoh(std::string_view optimizer,
-                       QohOptimizerOptions* options);
+// An entry's work estimate clamped into [1, 2^50], and to the
+// deterministic evaluation cap when one is set.
+double ApplyBudget(double estimate, const Budget& budget);
+
+// Deterministic per-request work estimate in "cost units" (roughly cost
+// evaluations): the entry's declared work rule at n relations under
+// ApplyBudget.
+template <typename Entry>
+double EstimateCostUnits(const Entry& entry,
+                         const typename Entry::Options& options, int n) {
+  return ApplyBudget(entry.work(options, n), options.budget);
+}
+
+// The declared degradation rewrite: the entry's fallback when it names
+// one (options untouched), else the entry itself with its effort clamp
+// applied to `options` in place. Clamps never raise effort, and a floor
+// entry (greedy) passes through unchanged. Deterministic: same inputs,
+// same rewrite.
+template <typename Entry>
+const Entry& Degrade(const registry_internal::RegistryT<Entry>& registry,
+                     const Entry& entry, typename Entry::Options* options) {
+  if (!entry.degrade_to.empty()) return *registry.Find(entry.degrade_to);
+  if (entry.clamp != nullptr) entry.clamp(options);
+  return entry;
+}
 
 // The governor. Not thread-safe: the serve loop is the single caller,
 // and determinism comes from arrival order.

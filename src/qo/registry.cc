@@ -1,5 +1,7 @@
 #include "qo/registry.h"
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -10,6 +12,7 @@
 #include "qo/bnb.h"
 #include "qo/genetic.h"
 #include "qo/ikkbz.h"
+#include "qo/overload.h"
 #include "util/check.h"
 
 namespace aqo {
@@ -97,6 +100,74 @@ QohOptimizerResult RunQohIi(const QohInstance& inst,
 QohOptimizerResult RunQohSa(const QohInstance& inst,
                             const QohOptimizerOptions& options, Rng* rng) {
   return SimulatedAnnealingQohOptimizer(inst, rng, options);
+}
+
+// --- Overload rules (qo/overload.h). ApplyBudget saturates a work
+// estimate at 2^50, so 2^n may overflow here. ---
+
+template <typename Options>
+double Quadratic(const Options&, int n) {
+  double nd = static_cast<double>(std::max(n, 1));
+  return nd * nd;
+}
+
+template <typename Options>
+double PerSample(const Options& options, int n) {
+  return static_cast<double>(std::max(options.samples, 1)) *
+         static_cast<double>(std::max(n, 1));
+}
+
+template <typename Options>
+double CubicPerRestart(const Options& options, int n) {
+  double nd = static_cast<double>(std::max(n, 1));
+  return static_cast<double>(std::max(options.restarts, 1)) * nd * nd * nd;
+}
+
+template <typename Options>
+double Annealing(const Options& options, int) {
+  return static_cast<double>(std::max(options.sa.restarts, 1)) *
+         static_cast<double>(std::max(options.sa.iterations, 1));
+}
+
+template <typename Options>
+double Permutations(const Options&, int n) {
+  return Factorial(n);
+}
+
+double SubsetDp(const OptimizerOptions&, int n) {
+  return static_cast<double>(std::max(n, 1)) * std::pow(2.0, n);
+}
+
+double Generations(const OptimizerOptions& options, int) {
+  return static_cast<double>(std::max(options.ga.population, 1)) *
+         static_cast<double>(std::max(options.ga.generations, 1));
+}
+
+double BnbNodes(const OptimizerOptions& options, int n) {
+  return options.bnb_node_limit > 0
+             ? static_cast<double>(options.bnb_node_limit)
+             : std::pow(2.0, n);
+}
+
+template <typename Options>
+void ClampSamples(Options* options) {
+  options->samples = std::min(options->samples, 64);
+}
+
+template <typename Options>
+void ClampRestarts(Options* options) {
+  options->restarts = std::min(options->restarts, 2);
+}
+
+template <int kIterations, typename Options>
+void ClampAnnealing(Options* options) {
+  options->sa.restarts = std::min(options->sa.restarts, 1);
+  options->sa.iterations = std::min(options->sa.iterations, kIterations);
+}
+
+void ClampGenerations(OptimizerOptions* options) {
+  options->ga.population = std::min(options->ga.population, 16);
+  options->ga.generations = std::min(options->ga.generations, 16);
 }
 
 // The adaptive knob schema is family-independent (AdaptiveKnobs is shared
@@ -203,39 +274,41 @@ const OptimizerRegistry& OptimizerRegistry::Qon() {
   static const OptimizerRegistry* registry = [] {
     std::vector<QonOptimizerEntry> entries = {
         {"exhaustive", "all n! permutations", true, true, {}, RunExhaustive,
-         2, kExhaustiveQonMaxRelations},
-        {"dp", "exact left-deep subset DP", true, true, {}, RunDp, 2,
-         kDpMaxRelations},
+         Permutations, "greedy", nullptr, 2, kExhaustiveQonMaxRelations},
+        {"dp", "exact left-deep subset DP", true, true, {}, RunDp, SubsetDp,
+         "greedy", nullptr, 2, kDpMaxRelations},
         {"greedy", "cheapest-next-join from every start", true, true, {},
-         RunGreedy},
+         RunGreedy, Quadratic},
         {"random", "best of options.samples random sequences", false, true,
-         {{"--samples=", "random sequences drawn"}}, RunRandom},
+         {{"--samples=", "random sequences drawn"}}, RunRandom, PerSample, "",
+         ClampSamples},
         {"ii", "first-improvement local search, options.restarts starts",
          false, true,
          {{"--restarts=", "random restarts"}},
-         RunIi},
+         RunIi, CubicPerRestart, "", ClampRestarts},
         {"sa", "simulated annealing (knobs: options.sa)", false, true,
          {{"--sa-iterations=", "moves per restart"},
           {"--sa-temperature=", "initial temperature (log2-cost units)"},
           {"--sa-cooling=", "geometric cooling factor"},
           {"--sa-restarts=", "independent annealing runs"}},
-         RunSa},
+         RunSa, Annealing, "", ClampAnnealing<2000>},
         {"genetic", "genetic algorithm (knobs: options.ga)", false, true,
          {{"--ga-population=", "individuals per generation"},
           {"--ga-generations=", "generations evolved"},
           {"--ga-crossover=", "crossover probability"},
           {"--ga-mutation=", "mutation probability"}},
-         RunGenetic},
+         RunGenetic, Generations, "", ClampGenerations},
         {"bnb", "branch & bound (options.bnb_node_limit, 0 = exact)", true,
          true, {{"--bnb-node-limit=", "node budget (0 = unlimited)"}},
-         RunBnb, 2, kBnbMaxRelations},
+         RunBnb, BnbNodes, "greedy", nullptr, 2, kBnbMaxRelations},
         {"cout", "exact optimum under the C_out cost metric", true, true, {},
-         RunCout, 2, kDpMaxRelations},
+         RunCout, SubsetDp, "greedy", nullptr, 2, kDpMaxRelations},
         {"kbz", "IK/KBZ, exact on tree query graphs (else infeasible)", true,
-         true, {}, RunKbz},
+         true, {}, RunKbz, Quadratic},
+        // adaptive may run anything up to the DP; it is priced as one.
         {"adaptive", "learned selection over the feedback store"
          " (docs/adaptive.md)", false, false, AdaptiveKnobSchema(),
-         AdaptiveQonOptimizer},
+         AdaptiveQonOptimizer, SubsetDp, "greedy"},
     };
     return new OptimizerRegistry(std::move(entries), {{"ga", "genetic"}});
   }();
@@ -246,23 +319,26 @@ const QohOptimizerRegistry& QohOptimizerRegistry::Get() {
   static const QohOptimizerRegistry* registry = [] {
     std::vector<QohOptimizerEntry> entries = {
         {"exhaustive", "all n! permutations, optimal decomposition", true,
-         true, {}, RunQohExhaustive, 2, kExhaustiveQohMaxRelations},
+         true, {}, RunQohExhaustive, Permutations, "greedy", nullptr, 2,
+         kExhaustiveQohMaxRelations},
         {"greedy", "min-next-intermediate construction", true, true, {},
-         RunQohGreedy},
+         RunQohGreedy, Quadratic},
         {"random", "best of options.samples random sequences", false, true,
-         {{"--samples=", "random sequences drawn"}}, RunQohRandom},
+         {{"--samples=", "random sequences drawn"}}, RunQohRandom, PerSample,
+         "", ClampSamples},
         {"ii", "adjacent-transposition local search", false, true,
          {{"--restarts=", "random restarts"}},
-         RunQohIi},
+         RunQohIi, CubicPerRestart, "", ClampRestarts},
         {"sa", "simulated annealing (knobs: options.sa)", false, true,
          {{"--sa-iterations=", "moves per restart"},
           {"--sa-temperature=", "initial temperature (log2-cost units)"},
           {"--sa-cooling=", "geometric cooling factor"},
           {"--sa-restarts=", "independent annealing runs"}},
-         RunQohSa},
+         RunQohSa, Annealing, "", ClampAnnealing<1000>},
+        // adaptive may run exhaustive; it is priced as one.
         {"adaptive", "learned selection over the feedback store"
          " (docs/adaptive.md)", false, false, AdaptiveKnobSchema(),
-         AdaptiveQohOptimizer},
+         AdaptiveQohOptimizer, Permutations, "greedy"},
     };
     return new QohOptimizerRegistry(std::move(entries),
                                     {{"sample", "random"}});

@@ -13,10 +13,12 @@
 // implementation (registry_internal::RegistryT); only the instance /
 // options / result types differ. An entry carries metadata — name,
 // description, determinism, cacheability, and a knob schema naming the
-// harness flags that feed it, and the relation-count domain it accepts —
-// so front-ends render `--optimizers=help` from Describe() instead of
-// hand-maintaining flag docs, and reject out-of-domain instances before
-// an optimizer can abort on them.
+// harness flags that feed it, its overload rules (qo/overload.h), and the
+// relation-count domain it accepts — so front-ends render
+// `--optimizers=help` from Describe() instead of hand-maintaining flag
+// docs, the load governor prices and degrades a request without naming
+// optimizers, and out-of-domain instances are rejected before an
+// optimizer can abort on them.
 //
 // Benches and tools select optimizers by name (--optimizers=a,b,c)
 // instead of hand-rolling call lists; the batch service (qo/service.h)
@@ -77,6 +79,13 @@ struct OptimizerEntryT {
   bool cacheable = true;
   std::vector<KnobSpec> knobs;  // the flags this entry reads
   std::function<Result(const Instance&, const Options&, Rng*)> run;
+  // Overload rules (qo/overload.h). `work` estimates the evaluations one
+  // run burns at n relations, before the budget cap. Under degrade the
+  // governor runs `degrade_to` instead when it is set; otherwise it
+  // applies `clamp` to the knobs (null: the entry is already the floor).
+  double (*work)(const Options& options, int n) = nullptr;
+  std::string degrade_to = {};
+  void (*clamp)(Options* options) = nullptr;
   // Domain: the relation counts min_n <= n <= max_n the entry accepts.
   // Outside it the optimizer aborts (CHECK), so front-ends test InDomain
   // before running anything and answer with DomainError instead (the

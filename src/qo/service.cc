@@ -9,6 +9,7 @@
 #include "obs/runlog.h"
 #include "obs/trace.h"
 #include "qo/adaptive.h"
+#include "qo/family.h"
 #include "util/cancellation.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
@@ -23,8 +24,6 @@ void AddString(HashAccumulator* acc, std::string_view s) {
   for (char c : s) acc->Add(static_cast<uint64_t>(static_cast<uint8_t>(c)));
 }
 
-constexpr uint64_t kQonKeyTag = 0x716f6e5f6b657931ULL;
-constexpr uint64_t kQohKeyTag = 0x716f685f6b657931ULL;
 // Deterministic optimizers ignore the Rng; folding a fixed sentinel
 // instead of the seed lets their entries hit across seeds.
 constexpr uint64_t kDeterministicSeed = 0x64657465726d696eULL;
@@ -74,17 +73,56 @@ void ForEach(ThreadPool* pool, size_t count, const Fn& fn) {
   }
 }
 
-// Shared batch skeleton for both families. `Traits` supplies the
-// family-specific pieces; the phase structure (canonicalize in parallel,
-// probe serially, compute misses in parallel, replay logs + insert +
-// resolve duplicates serially) is identical.
-template <typename Traits>
-std::vector<typename Traits::Item> RunBatch(
-    const std::vector<typename Traits::Instance>& instances,
-    const BatchOptions& options) {
-  const auto* entry = Traits::Registry().Find(options.optimizer);
+template <typename Family>
+const typename Family::Entry& FindEntry(std::string_view name) {
+  const auto* entry = Family::Registry().Find(name);
   AQO_CHECK(entry != nullptr)
-      << "unknown " << Traits::kFamily << " optimizer: " << options.optimizer;
+      << "unknown " << Family::kTitle << " optimizer: " << name;
+  return *entry;
+}
+
+// The full cache key, in this order: family tag, fingerprint, canonical
+// entry name, the family's result knobs, the adaptive knobs (the adaptive
+// entry itself is never cached, but the key must still be injective over
+// everything that shapes a result), seed.
+template <typename Family>
+Hash128 PlanCacheKey(const Hash128& fingerprint,
+                     const typename Family::Entry& entry,
+                     const typename Family::Options& options, uint64_t seed) {
+  HashAccumulator acc(Family::kKeyTag);
+  acc.Add(fingerprint.lo);
+  acc.Add(fingerprint.hi);
+  AddString(&acc, entry.name);
+  Family::AddResultKnobs(&acc, options);
+  AddString(&acc, options.adaptive.fallback);
+  AddString(&acc, options.adaptive.candidates);
+  acc.AddDouble(options.adaptive.quality_target);
+  acc.Add(static_cast<uint64_t>(options.adaptive.k_neighbors));
+  acc.Add(static_cast<uint64_t>(options.adaptive.min_trials));
+  acc.Add(options.adaptive.seed);
+  acc.Add(seed);
+  return acc.Digest();
+}
+
+// The batch's knobs for one canonical instance.
+template <typename Family>
+typename Family::Options CanonicalKnobs(const BatchOptions& options,
+                                        const typename Family::Canonical& c) {
+  typename Family::Options knobs = Family::Knobs(options);
+  Family::ToCanonicalKnobs(&knobs, c);
+  return knobs;
+}
+
+}  // namespace
+
+// Shared batch skeleton for both families (qo/family.h): canonicalize in
+// parallel, probe serially, compute misses in parallel, replay logs +
+// insert + resolve duplicates serially.
+template <typename Family>
+std::vector<BatchItem<typename Family::Result>> OptimizeBatch(
+    const std::vector<typename Family::Instance>& instances,
+    const BatchOptions& options) {
+  const typename Family::Entry* entry = &FindEntry<Family>(options.optimizer);
 
   // Stateful entries (adaptive) must never be served from or inserted
   // into a PlanCache: their results depend on feedback-store state, so a
@@ -94,13 +132,18 @@ std::vector<typename Traits::Item> RunBatch(
   PlanCache* cache = entry->cacheable ? options.cache : nullptr;
 
   size_t count = instances.size();
-  std::vector<typename Traits::Canonical> canon(count);
+  std::vector<typename Family::Canonical> canon(count);
   ForEach(options.pool, count,
-          [&](size_t i) { canon[i] = Traits::Canonicalize(instances[i]); });
+          [&](size_t i) { canon[i] = Family::Canonicalize(instances[i]); });
 
+  // Deterministic optimizers fold a fixed sentinel instead of the seed.
+  const uint64_t key_seed =
+      entry->deterministic ? kDeterministicSeed : options.seed;
   std::vector<Hash128> keys(count);
   for (size_t i = 0; i < count; ++i) {
-    keys[i] = Traits::Key(canon[i], *entry, options);
+    keys[i] = PlanCacheKey<Family>(canon[i].fingerprint, *entry,
+                                   CanonicalKnobs<Family>(options, canon[i]),
+                                   key_seed);
   }
 
   // One representative per distinct key, in first-occurrence order. With
@@ -165,30 +208,29 @@ std::vector<typename Traits::Item> RunBatch(
     // resolve loop, so slices sum to exactly the batch size.
     obs::TraceSpan slice("qo.service.item", "service");
     auto item_start = std::chrono::steady_clock::now();
-    obs::InstanceShape shape{.family = std::string(Traits::kFamily),
+    obs::InstanceShape shape{.family = std::string(Family::kName),
                              .kind = "batch",
                              .side = "",
                              .source = "",
                              .n = c.instance.NumRelations(),
                              .edges = c.instance.graph().NumEdges()};
-    auto knobs = Traits::Knobs(options, c);
+    auto knobs = CanonicalKnobs<Family>(options, c);
     if (options.deadline_ms > 0) knobs.cancel = &batch_cancel;
     auto attempt = [&] {
       obs::RunLogBuffer buffer;
       Rng rng(MixSeed(options.seed, c.fingerprint.lo));
       FaultInjector::Get().MaybeThrow("service.item", reps[r]);
       auto result = obs::InstrumentedRun(
-          std::string(Traits::kFamily) + "." + entry->name, shape,
+          std::string(Family::kName) + "." + entry->name, shape,
           [&] { return entry->run(c.instance, knobs, &rng); });
-      plans[r] = Traits::ToPlan(result);
+      plans[r] = ToPlan<Family>(result);
       logs[r] = buffer.Take();
     };
-    if (!EntryDomainError(*entry, knobs, c.instance.NumRelations())
-             .empty()) {
+    if (!EntryDomainError(*entry, knobs, c.instance).empty()) {
       // Outside the entry's declared domain (or, for adaptive, its
-      // fallback's) the optimizer would abort the process: answer
-      // kFailed without running it (and, like every failed item, never
-      // cache it).
+      // fallback's) or the magnitude domain the optimizer would abort the
+      // process or misreport: answer kFailed without running it (and,
+      // like every failed item, never cache it).
       static obs::Counter& domain_rejects =
           obs::Registry::Get().GetCounter("qo.service.domain_rejects");
       domain_rejects.Increment();
@@ -237,7 +279,7 @@ std::vector<typename Traits::Item> RunBatch(
   // (b) the adaptive_commit record lands after every decision record it
   // covers — the order the replay tool reconstructs.
   if (entry->name == "adaptive") {
-    CommitAdaptiveFeedback(Traits::Adaptive(options));
+    CommitAdaptiveFeedback(Family::Knobs(options).adaptive);
   }
   if (cache != nullptr) {
     for (size_t r = 0; r < reps.size(); ++r) {
@@ -257,7 +299,7 @@ std::vector<typename Traits::Item> RunBatch(
   // Resolve every instance from its representative's plan. In-batch
   // duplicates probe the cache (serially) so the hit counters reflect
   // the work the cache actually saved.
-  std::vector<typename Traits::Item> out(count);
+  std::vector<BatchItem<typename Family::Result>> out(count);
   for (size_t i = 0; i < count; ++i) {
     size_t r = rep_slot[i];
     // Computed misses already got their slice and latency sample in the
@@ -273,7 +315,7 @@ std::vector<typename Traits::Item> RunBatch(
     }
     out[i].from_cache = from_cache;
     out[i].fingerprint = canon[i].fingerprint;
-    Traits::FromPlan(plans[r], canon[i].from_canonical, &out[i].result);
+    FromPlan<Family>(plans[r], canon[i].from_canonical, &out[i].result);
     if (served_here) {
       uint64_t item_us = static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(
@@ -290,179 +332,31 @@ std::vector<typename Traits::Item> RunBatch(
   return out;
 }
 
-struct QonTraits {
-  using Instance = QonInstance;
-  using Canonical = CanonicalQon;
-  using Item = QonBatchItem;
-  static constexpr std::string_view kFamily = "qon";
-
-  static const OptimizerRegistry& Registry() {
-    return OptimizerRegistry::Qon();
-  }
-  static CanonicalQon Canonicalize(const QonInstance& inst) {
-    return CanonicalizeQon(inst);
-  }
-  static Hash128 Key(const CanonicalQon& canon,
-                     const QonOptimizerEntry& entry,
-                     const BatchOptions& options) {
-    return QonPlanCacheKey(canon.fingerprint, entry.name, options.qon,
-                           entry.deterministic ? kDeterministicSeed
-                                               : options.seed);
-  }
-  static OptimizerOptions Knobs(const BatchOptions& options,
-                                const CanonicalQon&) {
-    return options.qon;
-  }
-  static const AdaptiveKnobs& Adaptive(const BatchOptions& options) {
-    return options.qon.adaptive;
-  }
-  static CachedPlan ToPlan(const OptimizerResult& r) {
-    return CachedPlan{r.feasible, r.sequence, {}, r.cost, r.evaluations,
-                      r.status};
-  }
-  static void FromPlan(const CachedPlan& plan,
-                       const std::vector<int>& from_canonical,
-                       OptimizerResult* out) {
-    out->feasible = plan.feasible;
-    out->cost = plan.cost;
-    out->evaluations = plan.evaluations;
-    out->status = plan.status;
-    out->sequence = MapSequenceFromCanonical(plan.sequence, from_canonical);
-  }
-};
-
-struct QohTraits {
-  using Instance = QohInstance;
-  using Canonical = CanonicalQoh;
-  using Item = QohBatchItem;
-  static constexpr std::string_view kFamily = "qoh";
-
-  static const QohOptimizerRegistry& Registry() {
-    return QohOptimizerRegistry::Get();
-  }
-  static CanonicalQoh Canonicalize(const QohInstance& inst) {
-    return CanonicalizeQoh(inst);
-  }
-  // The sentinel_first knob names a relation in *caller* labels; the
-  // service runs on the canonical instance, so it is remapped per
-  // instance — and folded into the cache key in canonical form, which is
-  // exactly the form two relabeled duplicates agree on.
-  static QohOptimizerOptions Knobs(const BatchOptions& options,
-                                   const CanonicalQoh& canon) {
-    QohOptimizerOptions knobs = options.qoh;
-    if (knobs.sentinel_first >= 0) {
-      knobs.sentinel_first =
-          canon.to_canonical[static_cast<size_t>(knobs.sentinel_first)];
-    }
-    return knobs;
-  }
-  static Hash128 Key(const CanonicalQoh& canon,
-                     const QohOptimizerEntry& entry,
-                     const BatchOptions& options) {
-    return QohPlanCacheKey(canon.fingerprint, entry.name,
-                           Knobs(options, canon),
-                           entry.deterministic ? kDeterministicSeed
-                                               : options.seed);
-  }
-  static const AdaptiveKnobs& Adaptive(const BatchOptions& options) {
-    return options.qoh.adaptive;
-  }
-  static CachedPlan ToPlan(const QohOptimizerResult& r) {
-    return CachedPlan{r.feasible, r.sequence, r.decomposition.starts, r.cost,
-                      r.evaluations, r.status};
-  }
-  static void FromPlan(const CachedPlan& plan,
-                       const std::vector<int>& from_canonical,
-                       QohOptimizerResult* out) {
-    out->feasible = plan.feasible;
-    out->cost = plan.cost;
-    out->evaluations = plan.evaluations;
-    out->status = plan.status;
-    out->sequence = MapSequenceFromCanonical(plan.sequence, from_canonical);
-    // Decompositions are positional (fragment boundaries by join index),
-    // so they survive relabeling unchanged.
-    out->decomposition.starts = plan.pipeline_starts;
-  }
-};
-
-}  // namespace
+template std::vector<QonBatchItem> OptimizeBatch<QonFamily>(
+    const std::vector<QonInstance>&, const BatchOptions&);
+template std::vector<QohBatchItem> OptimizeBatch<QohFamily>(
+    const std::vector<QohInstance>&, const BatchOptions&);
 
 std::vector<QonBatchItem> OptimizeQonBatch(
     const std::vector<QonInstance>& instances, const BatchOptions& options) {
-  return RunBatch<QonTraits>(instances, options);
+  return OptimizeBatch<QonFamily>(instances, options);
 }
 
 std::vector<QohBatchItem> OptimizeQohBatch(
     const std::vector<QohInstance>& instances, const BatchOptions& options) {
-  return RunBatch<QohTraits>(instances, options);
+  return OptimizeBatch<QohFamily>(instances, options);
 }
 
 Hash128 QonPlanCacheKey(const Hash128& fingerprint, std::string_view optimizer,
                         const OptimizerOptions& options, uint64_t seed) {
-  const QonOptimizerEntry* entry = OptimizerRegistry::Qon().Find(optimizer);
-  AQO_CHECK(entry != nullptr) << "unknown QO_N optimizer: " << optimizer;
-  HashAccumulator acc(kQonKeyTag);
-  acc.Add(fingerprint.lo);
-  acc.Add(fingerprint.hi);
-  AddString(&acc, entry->name);
-  acc.Add(options.forbid_cartesian ? 1 : 0);
-  acc.Add(static_cast<uint64_t>(options.samples));
-  acc.Add(static_cast<uint64_t>(options.restarts));
-  acc.Add(static_cast<uint64_t>(options.sa.iterations));
-  acc.AddDouble(options.sa.initial_temperature);
-  acc.AddDouble(options.sa.cooling);
-  acc.Add(static_cast<uint64_t>(options.sa.restarts));
-  acc.Add(static_cast<uint64_t>(options.ga.population));
-  acc.Add(static_cast<uint64_t>(options.ga.generations));
-  acc.AddDouble(options.ga.crossover_rate);
-  acc.AddDouble(options.ga.mutation_rate);
-  acc.Add(static_cast<uint64_t>(options.ga.tournament));
-  acc.Add(static_cast<uint64_t>(options.ga.elites));
-  acc.Add(options.bnb_node_limit);
-  // Deterministic eval cap: different caps yield different (valid)
-  // best-so-far plans, so they must not alias. Deadlines and cancel
-  // tokens are deliberately absent — deadline-cut plans are never
-  // inserted in the first place.
-  acc.Add(options.budget.max_evaluations);
-  // Adaptive knobs (the adaptive entry itself is never cached, but the
-  // key must still be injective over everything that shapes a result).
-  AddString(&acc, options.adaptive.fallback);
-  AddString(&acc, options.adaptive.candidates);
-  acc.AddDouble(options.adaptive.quality_target);
-  acc.Add(static_cast<uint64_t>(options.adaptive.k_neighbors));
-  acc.Add(static_cast<uint64_t>(options.adaptive.min_trials));
-  acc.Add(options.adaptive.seed);
-  acc.Add(seed);
-  return acc.Digest();
+  return PlanCacheKey<QonFamily>(fingerprint, FindEntry<QonFamily>(optimizer),
+                                 options, seed);
 }
 
 Hash128 QohPlanCacheKey(const Hash128& fingerprint, std::string_view optimizer,
                         const QohOptimizerOptions& options, uint64_t seed) {
-  const QohOptimizerEntry* entry = QohOptimizerRegistry::Get().Find(optimizer);
-  AQO_CHECK(entry != nullptr) << "unknown QO_H optimizer: " << optimizer;
-  HashAccumulator acc(kQohKeyTag);
-  acc.Add(fingerprint.lo);
-  acc.Add(fingerprint.hi);
-  AddString(&acc, entry->name);
-  acc.Add(static_cast<uint64_t>(options.samples));
-  acc.Add(static_cast<uint64_t>(options.restarts));
-  acc.Add(static_cast<uint64_t>(
-      static_cast<int64_t>(options.sentinel_first)));
-  acc.Add(static_cast<uint64_t>(options.sa.iterations));
-  acc.AddDouble(options.sa.initial_temperature);
-  acc.AddDouble(options.sa.cooling);
-  acc.Add(static_cast<uint64_t>(options.sa.restarts));
-  // See QonPlanCacheKey: the eval cap shapes the cached plan bits.
-  acc.Add(options.budget.max_evaluations);
-  // See QonPlanCacheKey on the adaptive knobs.
-  AddString(&acc, options.adaptive.fallback);
-  AddString(&acc, options.adaptive.candidates);
-  acc.AddDouble(options.adaptive.quality_target);
-  acc.Add(static_cast<uint64_t>(options.adaptive.k_neighbors));
-  acc.Add(static_cast<uint64_t>(options.adaptive.min_trials));
-  acc.Add(options.adaptive.seed);
-  acc.Add(seed);
-  return acc.Digest();
+  return PlanCacheKey<QohFamily>(fingerprint, FindEntry<QohFamily>(optimizer),
+                                 options, seed);
 }
 
 }  // namespace aqo

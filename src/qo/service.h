@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "qo/family.h"
 #include "qo/fingerprint.h"
 #include "qo/plan_cache.h"
 #include "qo/registry.h"
@@ -65,26 +66,32 @@ struct BatchOptions {
   double deadline_ms = 0.0;
 };
 
-// Domain admission: an item whose relation count lies outside the
-// optimizer entry's declared domain (OptimizerEntryT::InDomain) is not
-// run at all; it yields an infeasible result with status kFailed.
+// Domain admission: an item outside the optimizer entry's declared
+// domain (EntryDomainError, qo/adaptive.h: its relation count, or the
+// instance's magnitude) is not run at all; it yields an infeasible result
+// with status kFailed.
 //
 // Per-item fault isolation: an item whose optimizer throws (or trips an
 // injected fault, util/fault_injection.h) is retried exactly once with
 // the same RNG stream; a second failure yields an infeasible result with
 // result.status == PlanStatus::kFailed for that item only — sibling
 // items, the cache, and counter totals are unaffected.
-struct QonBatchItem {
-  OptimizerResult result;  // in the caller's labels
+template <typename Result>
+struct BatchItem {
+  Result result;  // in the caller's labels
   bool from_cache = false;
   Hash128 fingerprint;
 };
 
-struct QohBatchItem {
-  QohOptimizerResult result;
-  bool from_cache = false;
-  Hash128 fingerprint;
-};
+using QonBatchItem = BatchItem<OptimizerResult>;
+using QohBatchItem = BatchItem<QohOptimizerResult>;
+
+// Optimizes a batch of one family's instances (qo/family.h); defined for
+// QonFamily and QohFamily.
+template <typename Family>
+std::vector<BatchItem<typename Family::Result>> OptimizeBatch(
+    const std::vector<typename Family::Instance>& instances,
+    const BatchOptions& options);
 
 std::vector<QonBatchItem> OptimizeQonBatch(
     const std::vector<QonInstance>& instances, const BatchOptions& options);

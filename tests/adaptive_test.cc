@@ -64,8 +64,8 @@ TEST(AdaptiveFeatures, BitwiseInvariantUnderRelabeling) {
     QonInstance base = RandomQonWorkload(n, &rng);
     QonInstance relabeled =
         PermuteQonInstance(base, RandomPermutation(n, &rng));
-    InstanceFeatures a = ExtractQonFeatures(CanonicalizeQon(base));
-    InstanceFeatures b = ExtractQonFeatures(CanonicalizeQon(relabeled));
+    InstanceFeatures a = ExtractFeatures(CanonicalizeQon(base));
+    InstanceFeatures b = ExtractFeatures(CanonicalizeQon(relabeled));
     EXPECT_EQ(a.n, b.n);
     EXPECT_EQ(a.edges, b.edges);
     EXPECT_EQ(a.edge_density, b.edge_density);
@@ -83,13 +83,13 @@ TEST(AdaptiveFeatures, BitwiseInvariantUnderRelabeling) {
 TEST(AdaptiveFeatures, QohCarriesMemoryAndEta) {
   Rng rng(902);
   QohInstance inst = RandomQohWorkload(6, &rng, 0.4);
-  InstanceFeatures f = ExtractQohFeatures(CanonicalizeQoh(inst));
+  InstanceFeatures f = ExtractFeatures(CanonicalizeQoh(inst));
   EXPECT_EQ(f.n, 6);
   EXPECT_EQ(f.eta, inst.eta());
   EXPECT_NE(f.memory_log2, 0.0);
 
   QohInstance relabeled = PermuteQohInstance(inst, RandomPermutation(6, &rng));
-  InstanceFeatures g = ExtractQohFeatures(CanonicalizeQoh(relabeled));
+  InstanceFeatures g = ExtractFeatures(CanonicalizeQoh(relabeled));
   EXPECT_EQ(f.memory_log2, g.memory_log2);
   EXPECT_EQ(f.eta, g.eta);
   EXPECT_EQ(f.wl_class, g.wl_class);

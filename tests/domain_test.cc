@@ -13,7 +13,14 @@
 //
 // `adaptive` is also driven with `dp` as its fallback (the item fails)
 // and as one of its candidates (dp is dropped and the item runs).
+//
+// The magnitude domain (kMaxInstanceLog2Magnitude): instances whose log2
+// sizes and selectivities sum past the bound are refused the same two
+// ways, every entry runs to a finite plan just inside it, and the
+// library-built gap instances of E1, E3, E5 and E6 are far inside it.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -24,6 +31,9 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "reductions/clique_to_qoh.h"
+#include "reductions/clique_to_qon.h"
+#include "reductions/sparse.h"
 #include "io/framing.h"
 #include "io/serialization.h"
 #include "qo/adaptive.h"
@@ -239,7 +249,7 @@ TEST(Domain, AdaptiveChecksItsFallbackAndDropsCandidates) {
     EXPECT_NE(items[1].result.status, PlanStatus::kFailed);
     EXPECT_TRUE(items[1].result.feasible);
     EXPECT_EQ(EntryDomainError(*OptimizerRegistry::Qon().Find("adaptive"),
-                               options.qon, n),
+                               options.qon, QonOfSize(n)),
               fallback_reason);
   }
   // Cold, every candidate is under-tried and explored by a seeded draw
@@ -254,7 +264,7 @@ TEST(Domain, AdaptiveChecksItsFallbackAndDropsCandidates) {
     options.qon.adaptive.candidates = "dp,greedy";
     options.qon.adaptive.store = &store;
     EXPECT_EQ(EntryDomainError(*OptimizerRegistry::Qon().Find("adaptive"),
-                               options.qon, n),
+                               options.qon, QonOfSize(n)),
               "");
     std::vector<QonBatchItem> items = OptimizeQonBatch(past_dp, options);
     ASSERT_EQ(items.size(), past_dp.size());
@@ -293,6 +303,240 @@ TEST(Domain, AdaptiveChecksItsFallbackAndDropsCandidates) {
                        "adaptive_fallback", requests, fallback_expected);
   ExpectServeResponses("--optimizer=adaptive --adaptive-candidates=dp,greedy",
                        "adaptive_candidates", requests, candidates_expected);
+}
+
+// --- The magnitude domain ---
+
+// Sum of |log2 size| and |log2 selectivity|: the gate's measure.
+template <typename Instance>
+double Magnitude(const Instance& inst) {
+  double m = 0.0;
+  for (int i = 0; i < inst.NumRelations(); ++i) {
+    m += std::fabs(inst.size(i).Log2());
+  }
+  for (const auto& [u, v] : inst.graph().Edges()) {
+    m += std::fabs(inst.selectivity(u, v).Log2());
+  }
+  return m;
+}
+
+// Chain instances of 5 relations with magnitude `total`, in four shapes:
+// huge sizes, sub-page sizes, sizes against selective joins, and one
+// relation holding it all.
+constexpr int kEdgeN = 5;
+
+std::vector<std::pair<std::vector<double>, double>> MagnitudeShapes(
+    double total) {
+  const double per = total / kEdgeN;
+  const double half = total / 2.0;
+  return {
+      {std::vector<double>(kEdgeN, per), 0.0},
+      {std::vector<double>(kEdgeN, -per), 0.0},
+      {std::vector<double>(kEdgeN, half / kEdgeN), -half / (kEdgeN - 1)},
+      {{total, 0.0, 0.0, 0.0, 0.0}, 0.0},
+  };
+}
+
+std::vector<QonInstance> QonOfMagnitude(double total) {
+  std::vector<QonInstance> out;
+  for (const auto& [logs, sel] : MagnitudeShapes(total)) {
+    std::vector<LogDouble> sizes;
+    for (double l : logs) sizes.push_back(LogDouble::FromLog2(l));
+    QonInstance inst(Chain(kEdgeN), std::move(sizes));
+    for (int i = 0; i + 1 < kEdgeN; ++i) {
+      inst.SetSelectivity(i, i + 1, LogDouble::FromLog2(sel));
+    }
+    out.push_back(std::move(inst));
+  }
+  return out;
+}
+
+std::vector<QohInstance> QohOfMagnitude(double total) {
+  std::vector<QohInstance> out;
+  for (const auto& [logs, sel] : MagnitudeShapes(total)) {
+    std::vector<LogDouble> sizes;
+    for (double l : logs) sizes.push_back(LogDouble::FromLog2(l));
+    QohInstance inst(Chain(kEdgeN), std::move(sizes), 1e12);
+    for (int i = 0; i + 1 < kEdgeN; ++i) {
+      inst.SetSelectivity(i, i + 1, LogDouble::FromLog2(sel));
+    }
+    out.push_back(std::move(inst));
+  }
+  return out;
+}
+
+TEST(Magnitude, EveryEntryRunsToAFinitePlanInsideTheBound) {
+  const double total = kMaxInstanceLog2Magnitude * 0.999;
+  FeedbackStore store;
+  std::vector<QonInstance> qon = QonOfMagnitude(total);
+  for (const std::string& name : OptimizerRegistry::Qon().Names()) {
+    BatchOptions options;
+    options.optimizer = name;
+    options.qon.adaptive.store = &store;
+    std::vector<QonBatchItem> items = OptimizeQonBatch(qon, options);
+    for (size_t i = 0; i < items.size(); ++i) {
+      EXPECT_NEAR(Magnitude(qon[i]), total, total * 1e-12);
+      // Every QO_N sequence is a plan (kbz answers only tree queries;
+      // these chains are trees).
+      EXPECT_EQ(items[i].result.status, PlanStatus::kComplete)
+          << name << " shape " << i;
+      EXPECT_TRUE(items[i].result.feasible) << name << " shape " << i;
+      EXPECT_TRUE(std::isfinite(items[i].result.cost.Log2()))
+          << name << " shape " << i;
+    }
+  }
+  std::vector<QohInstance> qoh = QohOfMagnitude(total);
+  for (const std::string& name : QohOptimizerRegistry::Get().Names()) {
+    BatchOptions options;
+    options.optimizer = name;
+    options.qoh.adaptive.store = &store;
+    std::vector<QohBatchItem> items = OptimizeQohBatch(qoh, options);
+    for (size_t i = 0; i < items.size(); ++i) {
+      // Hash tables must fit in memory, so some shapes have no plan.
+      EXPECT_EQ(items[i].result.status, PlanStatus::kComplete)
+          << name << " shape " << i;
+      if (items[i].result.feasible) {
+        EXPECT_TRUE(std::isfinite(items[i].result.cost.Log2()))
+            << name << " shape " << i;
+      }
+    }
+  }
+}
+
+TEST(Magnitude, ServiceFailsInstancesPastTheBound) {
+  const double total = kMaxInstanceLog2Magnitude * 1.001;
+  for (const std::string& name : OptimizerRegistry::Qon().Names()) {
+    const QonOptimizerEntry& entry = *OptimizerRegistry::Qon().Find(name);
+    PlanCache cache;
+    BatchOptions options;
+    options.optimizer = name;
+    options.cache = &cache;
+    for (const QonInstance& inst : QonOfMagnitude(total)) {
+      EXPECT_NE(EntryDomainError(entry, options.qon, inst), "") << name;
+    }
+    for (const QonBatchItem& item :
+         OptimizeQonBatch(QonOfMagnitude(total), options)) {
+      EXPECT_EQ(item.result.status, PlanStatus::kFailed) << name;
+      EXPECT_FALSE(item.result.feasible) << name;
+    }
+    EXPECT_EQ(cache.GetStats().entries, 0u) << name;
+  }
+  for (const std::string& name : QohOptimizerRegistry::Get().Names()) {
+    BatchOptions options;
+    options.optimizer = name;
+    for (const QohBatchItem& item :
+         OptimizeQohBatch(QohOfMagnitude(total), options)) {
+      EXPECT_EQ(item.result.status, PlanStatus::kFailed) << name;
+      EXPECT_FALSE(item.result.feasible) << name;
+    }
+  }
+}
+
+// Requests whose log2 values are each finite but sum past double range.
+// Before the magnitude domain, the first two aborted the server at
+// LogDouble::FromLog2(+inf), the third answered feasible=0 for a QO_N
+// instance (every sequence is a plan), and the QO_H one aborted too.
+const char* const kOverflowBodies[] = {
+    "qon 2\nrel 0 1e308\nrel 1 1e308\n",
+    "qon 3\nrel 0 6e307\nrel 1 6e307\nrel 2 6e307\n",
+    "qoh 2 170 0.5\nrel 0 1e308\nrel 1 1e308\n",
+};
+
+TEST(Magnitude, ServiceFailsTheOverflowRequests) {
+  for (const char* optimizer : {"greedy", "ii", "dp"}) {
+    for (int b : {0, 1}) {
+      ParseResult<QonInstance> parsed = ParseQonInstance(kOverflowBodies[b]);
+      ASSERT_TRUE(parsed.ok()) << parsed.error;
+      BatchOptions options;
+      options.optimizer = optimizer;
+      std::vector<QonBatchItem> items =
+          OptimizeQonBatch({*parsed.value}, options);
+      EXPECT_EQ(items[0].result.status, PlanStatus::kFailed) << optimizer;
+      EXPECT_FALSE(items[0].result.feasible) << optimizer;
+    }
+  }
+  ParseResult<QohInstance> parsed = ParseQohInstance(kOverflowBodies[2]);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  BatchOptions options;
+  options.optimizer = "greedy";
+  EXPECT_EQ(OptimizeQohBatch({*parsed.value}, options)[0].result.status,
+            PlanStatus::kFailed);
+}
+
+TEST(Magnitude, ServeAnswersDomainErrorsAndKeepsServing) {
+  const std::string reason =
+      "sum of |log2 size| and |log2 selectivity| is inf, above 1e+300";
+  std::vector<std::string> requests = {
+      std::string("req b optimizer=greedy\n") + kOverflowBodies[0],
+      std::string("req c optimizer=ii\n") + kOverflowBodies[0],
+      std::string("req d\n") + kOverflowBodies[0],
+      std::string("req e optimizer=greedy\n") + kOverflowBodies[1],
+      std::string("req f\n") + kOverflowBodies[2],
+      "req g\n" + QonToString(QonOfMagnitude(
+                       kMaxInstanceLog2Magnitude * 1.001)[2]),
+      "ping p0\n",
+      "req ok0\n" + QonToString(QonOfMagnitude(
+                         kMaxInstanceLog2Magnitude * 0.999)[2]),
+  };
+  Expectations expected;
+  for (const char* id : {"b", "c", "d", "e"}) {
+    expected.emplace_back(id, std::string("err ") + id + " domain: qon " +
+                                  reason);
+  }
+  expected.emplace_back("f", "err f domain: qoh " + reason);
+  expected.emplace_back("g", "err g domain: qon sum of |log2 size| and "
+                             "|log2 selectivity| is 1.001e+300, above 1e+300");
+  expected.emplace_back("p0", "ok p0 pong");
+  expected.emplace_back("ok0", "ok ok0 qon feasible=1 status=complete");
+  ExpectServeResponses("", "magnitude", requests, expected);
+}
+
+// The gap instances the benches build, at their largest parameters, are
+// inside the domain by many orders of magnitude.
+TEST(Magnitude, GapInstancesAreInsideTheBound) {
+  const QonOptimizerEntry& qon = *OptimizerRegistry::Qon().Find("greedy");
+  const QohOptimizerEntry& qoh = *QohOptimizerRegistry::Get().Find("greedy");
+  double largest = 0.0;
+  auto check_qon = [&](const QonInstance& inst) {
+    EXPECT_EQ(EntryDomainError(qon, {}, inst), "");
+    largest = std::max(largest, Magnitude(inst));
+  };
+  auto check_qoh = [&](const QohInstance& inst) {
+    EXPECT_EQ(EntryDomainError(qoh, {}, inst), "");
+    largest = std::max(largest, Magnitude(inst));
+  };
+  // E1: f_N NO instances, n up to 150, lg alpha up to 8.
+  for (int n : {90, 150}) {
+    QonGapParams params{.c = 2.0 / 3.0, .d = 1.0 / 3.0, .log2_alpha = 8.0};
+    check_qon(ReduceCliqueToQon(CompleteMultipartite(n, n / 3), params)
+                  .instance);
+  }
+  // E3: f_H, with the sentinel t_0 = (n t)^12.
+  for (int n : {9, 15}) {
+    check_qoh(
+        ReduceTwoThirdsCliqueToQoh(CompleteMultipartite(n, 3), QohGapParams{})
+            .instance);
+  }
+  // E5: sparse f_N, m = 512 relations, alpha = 2^60000, both budget ends.
+  Rng rng(5);
+  for (bool dense : {false, true}) {
+    Graph g1 = CliqueClassGraph(8, 2, 1.0, 6, &rng);
+    SparseQonParams params;
+    params.base = {.c = 0.75, .d = 0.5, .log2_alpha = 60000.0};
+    params.k = 3;
+    params.edge_budget =
+        dense ? DenseEdgeBudget(512, 0.85) : SparseEdgeBudget(512, 0.85);
+    check_qon(ReduceCliqueToSparseQon(g1, params, &rng).instance);
+  }
+  // E6: sparse f_H, n = 12, m = 144.
+  SparseQohParams params;
+  params.base.log2_alpha = 2.0;
+  params.k = 2;
+  params.edge_budget = SparseEdgeBudget(144, 0.9);
+  check_qoh(
+      ReduceTwoThirdsCliqueToSparseQoh(Graph::Complete(12), params, &rng)
+          .instance);
+  EXPECT_LT(largest, 4e6);  // 3.63e6, the dense-end E5 instance
 }
 
 }  // namespace

@@ -29,58 +29,93 @@ namespace {
 
 constexpr double kCostCap = 1125899906842624.0;  // 2^50, the saturation
 
+// The governor's rules by entry name, as the serve path applies them.
+double QonUnits(std::string_view name, const OptimizerOptions& o, int n) {
+  return EstimateCostUnits(*OptimizerRegistry::Qon().Find(name), o, n);
+}
+
+double QohUnits(std::string_view name, const QohOptimizerOptions& o, int n) {
+  return EstimateCostUnits(*QohOptimizerRegistry::Get().Find(name), o, n);
+}
+
+std::string QonDegrade(std::string_view name, OptimizerOptions* o) {
+  const OptimizerRegistry& registry = OptimizerRegistry::Qon();
+  return Degrade(registry, *registry.Find(name), o).name;
+}
+
+std::string QohDegrade(std::string_view name, QohOptimizerOptions* o) {
+  const QohOptimizerRegistry& registry = QohOptimizerRegistry::Get();
+  return Degrade(registry, *registry.Find(name), o).name;
+}
+
 // ---------------------------------------------------------------------------
 // Cost-estimate tables.
 
 TEST(EstimateCost, QonTableMatchesDeclaredFormulas) {
   OptimizerOptions o;
-  EXPECT_DOUBLE_EQ(EstimateQonCostUnits("greedy", o, 7), 49.0);
-  EXPECT_DOUBLE_EQ(EstimateQonCostUnits("kbz", o, 7), 49.0);
-  EXPECT_DOUBLE_EQ(EstimateQonCostUnits("dp", o, 7), 7.0 * 128.0);
-  EXPECT_DOUBLE_EQ(EstimateQonCostUnits("cout", o, 7), 7.0 * 128.0);
-  EXPECT_DOUBLE_EQ(EstimateQonCostUnits("adaptive", o, 7), 7.0 * 128.0);
-  EXPECT_DOUBLE_EQ(EstimateQonCostUnits("random", o, 7), 1000.0 * 7.0);
+  EXPECT_DOUBLE_EQ(QonUnits("greedy", o, 7), 49.0);
+  EXPECT_DOUBLE_EQ(QonUnits("kbz", o, 7), 49.0);
+  EXPECT_DOUBLE_EQ(QonUnits("dp", o, 7), 7.0 * 128.0);
+  EXPECT_DOUBLE_EQ(QonUnits("cout", o, 7), 7.0 * 128.0);
+  EXPECT_DOUBLE_EQ(QonUnits("adaptive", o, 7), 7.0 * 128.0);
+  EXPECT_DOUBLE_EQ(QonUnits("random", o, 7), 1000.0 * 7.0);
   o.samples = 10;
-  EXPECT_DOUBLE_EQ(EstimateQonCostUnits("random", o, 7), 70.0);
-  EXPECT_DOUBLE_EQ(EstimateQonCostUnits("ii", o, 5), 8.0 * 125.0);
-  EXPECT_DOUBLE_EQ(EstimateQonCostUnits("sa", o, 7), 3.0 * 20000.0);
-  EXPECT_DOUBLE_EQ(EstimateQonCostUnits("genetic", o, 7), 64.0 * 120.0);
+  EXPECT_DOUBLE_EQ(QonUnits("random", o, 7), 70.0);
+  EXPECT_DOUBLE_EQ(QonUnits("ii", o, 5), 8.0 * 125.0);
+  EXPECT_DOUBLE_EQ(QonUnits("sa", o, 7), 3.0 * 20000.0);
+  EXPECT_DOUBLE_EQ(QonUnits("genetic", o, 7), 64.0 * 120.0);
   // bnb: the node budget when set, 2^n when exact.
-  EXPECT_DOUBLE_EQ(EstimateQonCostUnits("bnb", o, 7), 128.0);
+  EXPECT_DOUBLE_EQ(QonUnits("bnb", o, 7), 128.0);
   o.bnb_node_limit = 37;
-  EXPECT_DOUBLE_EQ(EstimateQonCostUnits("bnb", o, 7), 37.0);
+  EXPECT_DOUBLE_EQ(QonUnits("bnb", o, 7), 37.0);
 }
 
 TEST(EstimateCost, QohTableMatchesDeclaredFormulas) {
   QohOptimizerOptions o;
-  EXPECT_DOUBLE_EQ(EstimateQohCostUnits("greedy", o, 6), 36.0);
-  EXPECT_DOUBLE_EQ(EstimateQohCostUnits("exhaustive", o, 6), 720.0);
+  EXPECT_DOUBLE_EQ(QohUnits("greedy", o, 6), 36.0);
+  EXPECT_DOUBLE_EQ(QohUnits("exhaustive", o, 6), 720.0);
   o.samples = 8;
-  EXPECT_DOUBLE_EQ(EstimateQohCostUnits("random", o, 6), 48.0);
+  EXPECT_DOUBLE_EQ(QohUnits("random", o, 6), 48.0);
 }
 
-TEST(EstimateCost, UnknownNamesEstimateLikeTheWorstEntry) {
-  // A typo can only over-throttle: unknown names cost n!.
+// Every name reaches the governor through its registry entry, and every
+// entry declares both rules; a fallback is an entry of the same family
+// that degrades no further.
+template <typename Registry>
+void ExpectDeclaredRules(const Registry& registry) {
+  for (const std::string& name : registry.Names()) {
+    const auto& entry = *registry.Find(name);
+    EXPECT_NE(entry.work, nullptr) << name;
+    if (entry.degrade_to.empty()) continue;
+    EXPECT_EQ(entry.clamp, nullptr) << name;
+    const auto* fallback = registry.Find(entry.degrade_to);
+    ASSERT_NE(fallback, nullptr) << name;
+    EXPECT_TRUE(fallback->degrade_to.empty()) << name;
+    EXPECT_EQ(fallback->clamp, nullptr) << name;
+  }
+}
+
+TEST(EstimateCost, EveryEntryDeclaresItsRules) {
   OptimizerOptions o;
-  EXPECT_DOUBLE_EQ(EstimateQonCostUnits("exhaustive", o, 6), 720.0);
-  EXPECT_DOUBLE_EQ(EstimateQonCostUnits("drp", o, 6), 720.0);
-  EXPECT_DOUBLE_EQ(EstimateQonCostUnits("", o, 6), 720.0);
+  EXPECT_DOUBLE_EQ(QonUnits("exhaustive", o, 6), 720.0);
+  ExpectDeclaredRules(OptimizerRegistry::Qon());
+  ExpectDeclaredRules(QohOptimizerRegistry::Get());
 }
 
 TEST(EstimateCost, SaturatesAtTheCap) {
   OptimizerOptions o;
-  EXPECT_DOUBLE_EQ(EstimateQonCostUnits("exhaustive", o, 200), kCostCap);
-  EXPECT_DOUBLE_EQ(EstimateQonCostUnits("dp", o, 200), kCostCap);
+  EXPECT_DOUBLE_EQ(QonUnits("exhaustive", o, 200), kCostCap);
+  EXPECT_DOUBLE_EQ(QonUnits("dp", o, 200), kCostCap);
   QohOptimizerOptions qoh;
-  EXPECT_DOUBLE_EQ(EstimateQohCostUnits("exhaustive", qoh, 200), kCostCap);
+  EXPECT_DOUBLE_EQ(QohUnits("exhaustive", qoh, 200), kCostCap);
 }
 
 TEST(EstimateCost, BudgetCapsTheEstimate) {
   OptimizerOptions o;
   o.budget.max_evaluations = 100;
-  EXPECT_DOUBLE_EQ(EstimateQonCostUnits("dp", o, 20), 100.0);
+  EXPECT_DOUBLE_EQ(QonUnits("dp", o, 20), 100.0);
   // The budget never inflates a cheap request.
-  EXPECT_DOUBLE_EQ(EstimateQonCostUnits("greedy", o, 5), 25.0);
+  EXPECT_DOUBLE_EQ(QonUnits("greedy", o, 5), 25.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -89,23 +124,23 @@ TEST(EstimateCost, BudgetCapsTheEstimate) {
 TEST(Degrade, QonExactEntriesFallToGreedy) {
   for (const char* name : {"exhaustive", "dp", "bnb", "cout", "adaptive"}) {
     OptimizerOptions o;
-    EXPECT_EQ(DegradeQon(name, &o), "greedy") << name;
+    EXPECT_EQ(QonDegrade(name, &o), "greedy") << name;
   }
 }
 
 TEST(Degrade, QonStochasticEntriesKeepIdentityWithClampedEffort) {
   OptimizerOptions o;
-  EXPECT_EQ(DegradeQon("random", &o), "random");
+  EXPECT_EQ(QonDegrade("random", &o), "random");
   EXPECT_EQ(o.samples, 64);
   o = OptimizerOptions{};
-  EXPECT_EQ(DegradeQon("ii", &o), "ii");
+  EXPECT_EQ(QonDegrade("ii", &o), "ii");
   EXPECT_EQ(o.restarts, 2);
   o = OptimizerOptions{};
-  EXPECT_EQ(DegradeQon("sa", &o), "sa");
+  EXPECT_EQ(QonDegrade("sa", &o), "sa");
   EXPECT_EQ(o.sa.restarts, 1);
   EXPECT_EQ(o.sa.iterations, 2000);
   o = OptimizerOptions{};
-  EXPECT_EQ(DegradeQon("genetic", &o), "genetic");
+  EXPECT_EQ(QonDegrade("genetic", &o), "genetic");
   EXPECT_EQ(o.ga.population, 16);
   EXPECT_EQ(o.ga.generations, 16);
 }
@@ -113,27 +148,27 @@ TEST(Degrade, QonStochasticEntriesKeepIdentityWithClampedEffort) {
 TEST(Degrade, ClampNeverRaisesEffort) {
   OptimizerOptions o;
   o.samples = 10;  // already below the clamp
-  EXPECT_EQ(DegradeQon("random", &o), "random");
+  EXPECT_EQ(QonDegrade("random", &o), "random");
   EXPECT_EQ(o.samples, 10);
 }
 
 TEST(Degrade, FloorEntriesPassThroughUnchanged) {
   OptimizerOptions o;
-  EXPECT_EQ(DegradeQon("greedy", &o), "greedy");
-  EXPECT_EQ(DegradeQon("kbz", &o), "kbz");
+  EXPECT_EQ(QonDegrade("greedy", &o), "greedy");
+  EXPECT_EQ(QonDegrade("kbz", &o), "kbz");
   EXPECT_EQ(o.samples, OptimizerOptions{}.samples);
 }
 
 TEST(Degrade, QohTable) {
   QohOptimizerOptions o;
-  EXPECT_EQ(DegradeQoh("exhaustive", &o), "greedy");
-  EXPECT_EQ(DegradeQoh("adaptive", &o), "greedy");
+  EXPECT_EQ(QohDegrade("exhaustive", &o), "greedy");
+  EXPECT_EQ(QohDegrade("adaptive", &o), "greedy");
   o = QohOptimizerOptions{};
-  EXPECT_EQ(DegradeQoh("sa", &o), "sa");
+  EXPECT_EQ(QohDegrade("sa", &o), "sa");
   EXPECT_EQ(o.sa.restarts, 1);
   EXPECT_EQ(o.sa.iterations, 1000);
   o = QohOptimizerOptions{};
-  EXPECT_EQ(DegradeQoh("random", &o), "random");
+  EXPECT_EQ(QohDegrade("random", &o), "random");
   EXPECT_EQ(o.samples, 64);
 }
 
@@ -302,10 +337,10 @@ std::string DecisionTrace(int threads, bool with_cache, bool relabel) {
     OptimizerOptions options;
     options.pool = &pool;
     OptimizerOptions degraded_options = options;
-    std::string fallback = DegradeQon(optimizer, &degraded_options);
+    std::string fallback = QonDegrade(optimizer, &degraded_options);
     OverloadDecision d = governor.OnArrival(
-        EstimateQonCostUnits(optimizer, options, n),
-        EstimateQonCostUnits(fallback, degraded_options, n));
+        QonUnits(optimizer, options, n),
+        QonUnits(fallback, degraded_options, n));
 
     std::string effective =
         d.tier == OverloadTier::kDegrade ? fallback : optimizer;

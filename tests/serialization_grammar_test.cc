@@ -321,7 +321,6 @@ TEST(SerializationGrammar, EveryOverloadCountsOneParseOrdinal) {
       {"ParseQohInstance(view)", [&] { return ParseQohInstance(qoh).ok(); }},
       {"ParseQohInstance(istream)",
        [&] { return ParseQohInstance(*in(qoh)).ok(); }},
-      {"ReadGraph", [&] { return ReadGraph(*in(graph)).NumEdges() == 1; }},
       {"GraphFromString",
        [&] { return GraphFromString(graph).NumEdges() == 1; }},
       {"QonFromString",

@@ -123,7 +123,7 @@ TEST(ServiceDifferential, QonDegradedEntriesMatchUndegradedColdRuns) {
   Rng rng(44);
   std::vector<QonInstance> batch;
   for (int i = 0; i < 3; ++i) batch.push_back(RandomQonWorkload(20, &rng));
-  OptimizerOptions knobs;  // at DegradeQon's clamps
+  OptimizerOptions knobs;  // at the QO_N entries' degrade clamps
   knobs.restarts = 2;
   knobs.sa.restarts = 1;
   knobs.sa.iterations = 2000;
@@ -142,7 +142,10 @@ TEST(ServiceDifferential, QonDegradedEntriesMatchUndegradedColdRuns) {
       PlanCache cache;
       BatchOptions degraded = options;
       degraded.cache = &cache;
-      ASSERT_EQ(DegradeQon(name, &degraded.qon), name) << label;
+      const OptimizerRegistry& registry = OptimizerRegistry::Qon();
+      ASSERT_EQ(Degrade(registry, *registry.Find(name), &degraded.qon).name,
+                name)
+          << label;
       OptimizeQonBatch(batch, degraded);
 
       options.cache = &cache;
@@ -161,7 +164,7 @@ TEST(ServiceDifferential, QohDegradedEntriesMatchUndegradedColdRuns) {
   for (int i = 0; i < 3; ++i) {
     batch.push_back(RandomQohWorkload(12, &rng, 0.5));
   }
-  QohOptimizerOptions knobs;  // at DegradeQoh's clamps
+  QohOptimizerOptions knobs;  // at the QO_H entries' degrade clamps
   knobs.restarts = 2;
   knobs.sa.restarts = 1;
   knobs.sa.iterations = 1000;
@@ -178,7 +181,10 @@ TEST(ServiceDifferential, QohDegradedEntriesMatchUndegradedColdRuns) {
       PlanCache cache;
       BatchOptions degraded = options;
       degraded.cache = &cache;
-      ASSERT_EQ(DegradeQoh(name, &degraded.qoh), name) << label;
+      const QohOptimizerRegistry& registry = QohOptimizerRegistry::Get();
+      ASSERT_EQ(Degrade(registry, *registry.Find(name), &degraded.qoh).name,
+                name)
+          << label;
       OptimizeQohBatch(batch, degraded);
 
       options.cache = &cache;

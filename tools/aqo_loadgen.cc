@@ -51,6 +51,7 @@
 #include "io/serialization.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
+#include "qo/family.h"
 #include "qo/fingerprint.h"
 #include "qo/workloads.h"
 #include "util/check.h"
@@ -99,6 +100,19 @@ struct Workload {
   std::vector<std::string> frames;  // request payloads, arrival order
 };
 
+// The registry name behind --optimizer=<name> (aliases resolved); exits 2
+// when `Family` has no such entry.
+template <typename Family>
+std::string CanonicalOptimizer(const std::string& name) {
+  const auto* entry = Family::Registry().Find(name);
+  if (entry == nullptr) {
+    std::cerr << "error: unknown " << Family::kTitle << " optimizer '" << name
+              << "' in --optimizer=\n";
+    std::exit(2);
+  }
+  return entry->name;
+}
+
 Workload BuildWorkload(const bench::Flags& flags) {
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   int requests = static_cast<int>(flags.GetInt("requests", 200));
@@ -117,23 +131,8 @@ Workload BuildWorkload(const bench::Flags& flags) {
     std::exit(0);
   }
   if (!optimizer.empty()) {
-    if (family == "qon") {
-      const auto* entry = OptimizerRegistry::Qon().Find(optimizer);
-      if (entry == nullptr) {
-        std::cerr << "error: unknown QO_N optimizer '" << optimizer
-                  << "' in --optimizer=\n";
-        std::exit(2);
-      }
-      optimizer = entry->name;
-    } else {
-      const auto* entry = QohOptimizerRegistry::Get().Find(optimizer);
-      if (entry == nullptr) {
-        std::cerr << "error: unknown QO_H optimizer '" << optimizer
-                  << "' in --optimizer=\n";
-        std::exit(2);
-      }
-      optimizer = entry->name;
-    }
+    optimizer = family == "qon" ? CanonicalOptimizer<QonFamily>(optimizer)
+                                : CanonicalOptimizer<QohFamily>(optimizer);
   }
   WorkloadOptions wopts;
   wopts.shape = ShapeFromName(flags.GetString("shape", "random"));

@@ -22,8 +22,18 @@
 //
 // or `err <id> <reason>` (parse failures, admission rejections, and
 // `err <id> domain: <family> optimizer '<name>' accepts <domain>, got n=<n>`
-// when the relation count is outside the entry's domain). Control
-// frames: `ping <id>` and `snapshot <id>` (forces a snapshot rotation).
+// when the relation count is outside the entry's domain, or
+// `err <id> domain: <family> sum of |log2 size| and |log2 selectivity| is
+// <m>, above 1e+300` when the instance's numbers would overflow the cost
+// folds — docs/robustness.md). Control frames: `ping <id>`,
+// `health <id>` and `snapshot <id>` (forces a snapshot rotation).
+//
+// One handler serves both families: ServeOptimize is a template over the
+// family traits (qo/family.h) covering parse result, --max-n, the
+// `optimizer=` token, the load governor (whose estimate and degrade rule
+// each registry entry declares, qo/overload.h), the domain gate, the
+// batch service and the response format. The dispatch on the body's first
+// token is the only per-family branch.
 //
 // Responses are a pure function of (instance, optimizer, knobs, seed):
 // cache hits return bit-identical bytes to a fresh computation, so a
@@ -106,10 +116,12 @@ void AppendInt(std::string* out, Int v) {
 // The payload of an `ok` response: the status line, then `seq` (and, for
 // QO_H, `pipelines`) when the plan is feasible.
 template <typename Result>
-std::string FormatOk(const std::string& id, const char* family,
+std::string FormatOk(const std::string& id, std::string_view family,
                      const Result& result, bool degraded,
                      const std::vector<int>* pipelines) {
-  std::string out = "ok " + id + " " + family + " feasible=";
+  std::string out = "ok " + id + " ";
+  out += family;
+  out += " feasible=";
   out += result.feasible ? '1' : '0';
   out += " status=";
   out += PlanStatusName(result.status);
@@ -169,23 +181,26 @@ std::string AdmissionError(const std::string& id, int n, int max_n) {
 // Domain admission (docs/robustness.md): the entry that would run — after
 // any degrade — does not accept this relation count, so the request is
 // answered without running anything.
-std::string DomainError(const std::string& id, const char* family,
+std::string DomainError(const std::string& id, std::string_view family,
                         const std::string& reason) {
   static obs::Counter& domain_rejects =
       obs::Registry::Get().GetCounter("qo.serve.domain_rejects");
   domain_rejects.Increment();
-  return "err " + id + " domain: " + family + " " + reason;
+  return "err " + id + " domain: " + std::string(family) + " " + reason;
 }
 
-// One optimize request: parses, admits, runs a single-instance batch
-// through the shared cache, formats the response payload. A non-empty
-// `optimizer` (the per-request `optimizer=<name>` header token) overrides
-// the configured entry for this request only.
+// One optimize request of `Family` (qo/family.h): admits the parsed
+// instance, runs a single-instance batch through the shared cache, formats
+// the response payload. A non-empty `optimizer` (the per-request
+// `optimizer=<name>` header token) overrides the configured entry for
+// this request only.
+template <typename Family>
 std::string ServeOptimize(const std::string& id, double deadline_ms,
-                          std::string_view optimizer, std::string_view family,
-                          std::string_view body, const ServerConfig& config,
-                          PlanCache* cache, ThreadPool* pool,
-                          LoadGovernor* governor) {
+                          std::string_view optimizer,
+                          const ParseResult<typename Family::Instance>& parsed,
+                          const BatchOptions& configured,
+                          const ServerConfig& config, PlanCache* cache,
+                          ThreadPool* pool, LoadGovernor* governor) {
   static obs::Counter& rejects =
       obs::Registry::Get().GetCounter("qo.serve.admission_rejects");
   static obs::Counter& cache_hits =
@@ -194,117 +209,65 @@ std::string ServeOptimize(const std::string& id, double deadline_ms,
       obs::Registry::Get().GetCounter("qo.serve.sheds");
   static obs::Counter& degrade_counter =
       obs::Registry::Get().GetCounter("qo.serve.degraded");
-  if (family == "qon") {
-    ParseResult<QonInstance> parsed = ParseQonInstance(body);
-    if (!parsed.ok()) return "err " + id + " parse: " + parsed.error;
-    const QonInstance& inst = *parsed.value;
-    if (config.max_n > 0 && inst.NumRelations() > config.max_n) {
-      rejects.Increment();
-      return AdmissionError(id, inst.NumRelations(), config.max_n);
-    }
-    BatchOptions options = config.qon_batch;
-    options.cache = cache;
-    options.pool = nullptr;  // single instance; optimizer-level pool below
-    options.qon.pool = pool;
-    options.deadline_ms = deadline_ms;
-    if (!optimizer.empty()) {
-      const auto* entry = OptimizerRegistry::Qon().Find(optimizer);
-      if (entry == nullptr) {
-        rejects.Increment();
-        return "err " + id + " optimizer: unknown QO_N entry '" +
-               std::string(optimizer) + "'";
-      }
-      options.optimizer = entry->name;
-    }
-    bool degraded = false;
-    if (governor != nullptr && governor->armed()) {
-      OptimizerOptions degraded_knobs = options.qon;
-      std::string fallback = DegradeQon(options.optimizer, &degraded_knobs);
-      OverloadDecision d = governor->OnArrival(
-          EstimateQonCostUnits(options.optimizer, options.qon,
-                               inst.NumRelations()),
-          EstimateQonCostUnits(fallback, degraded_knobs,
-                               inst.NumRelations()));
-      if (d.tier == OverloadTier::kShed) {
-        shed_counter.Increment();
-        LogOverloadDecision(id, d, options.optimizer, fallback);
-        return "err " + id + " shed: " + d.reason;
-      }
-      if (d.tier == OverloadTier::kDegrade) {
-        degrade_counter.Increment();
-        LogOverloadDecision(id, d, options.optimizer, fallback);
-        options.optimizer = fallback;
-        options.qon = degraded_knobs;
-        options.qon.pool = pool;
-        degraded = true;
-      }
-    }
-    const QonOptimizerEntry* effective =
-        OptimizerRegistry::Qon().Find(options.optimizer);
-    std::string domain =
-        EntryDomainError(*effective, options.qon, inst.NumRelations());
-    if (!domain.empty()) return DomainError(id, "qon", domain);
-    std::vector<QonBatchItem> items = OptimizeQonBatch({inst}, options);
-    const QonBatchItem& item = items.front();
-    if (item.from_cache) cache_hits.Increment();
-    return FormatOk(id, "qon", item.result, degraded, nullptr);
+  if (!parsed.ok()) return "err " + id + " parse: " + parsed.error;
+  const typename Family::Instance& inst = *parsed.value;
+  const int n = inst.NumRelations();
+  if (config.max_n > 0 && n > config.max_n) {
+    rejects.Increment();
+    return AdmissionError(id, n, config.max_n);
   }
-  if (family == "qoh") {
-    ParseResult<QohInstance> parsed = ParseQohInstance(body);
-    if (!parsed.ok()) return "err " + id + " parse: " + parsed.error;
-    const QohInstance& inst = *parsed.value;
-    if (config.max_n > 0 && inst.NumRelations() > config.max_n) {
-      rejects.Increment();
-      return AdmissionError(id, inst.NumRelations(), config.max_n);
-    }
-    BatchOptions options = config.qoh_batch;
-    options.cache = cache;
-    options.pool = nullptr;
-    options.deadline_ms = deadline_ms;
-    if (!optimizer.empty()) {
-      const auto* entry = QohOptimizerRegistry::Get().Find(optimizer);
-      if (entry == nullptr) {
-        rejects.Increment();
-        return "err " + id + " optimizer: unknown QO_H entry '" +
-               std::string(optimizer) + "'";
-      }
-      options.optimizer = entry->name;
-    }
-    bool degraded = false;
-    if (governor != nullptr && governor->armed()) {
-      QohOptimizerOptions degraded_knobs = options.qoh;
-      std::string fallback = DegradeQoh(options.optimizer, &degraded_knobs);
-      OverloadDecision d = governor->OnArrival(
-          EstimateQohCostUnits(options.optimizer, options.qoh,
-                               inst.NumRelations()),
-          EstimateQohCostUnits(fallback, degraded_knobs,
-                               inst.NumRelations()));
-      if (d.tier == OverloadTier::kShed) {
-        shed_counter.Increment();
-        LogOverloadDecision(id, d, options.optimizer, fallback);
-        return "err " + id + " shed: " + d.reason;
-      }
-      if (d.tier == OverloadTier::kDegrade) {
-        degrade_counter.Increment();
-        LogOverloadDecision(id, d, options.optimizer, fallback);
-        options.optimizer = fallback;
-        options.qoh = degraded_knobs;
-        degraded = true;
-      }
-    }
-    const QohOptimizerEntry* effective =
-        QohOptimizerRegistry::Get().Find(options.optimizer);
-    std::string domain =
-        EntryDomainError(*effective, options.qoh, inst.NumRelations());
-    if (!domain.empty()) return DomainError(id, "qoh", domain);
-    std::vector<QohBatchItem> items = OptimizeQohBatch({inst}, options);
-    const QohBatchItem& item = items.front();
-    if (item.from_cache) cache_hits.Increment();
-    return FormatOk(id, "qoh", item.result, degraded,
-                    &item.result.decomposition.starts);
+  // The configured name was checked at startup; only a token can miss.
+  const typename Family::Entry* entry = Family::Registry().Find(
+      optimizer.empty() ? std::string_view(configured.optimizer) : optimizer);
+  if (entry == nullptr) {
+    rejects.Increment();
+    return "err " + id + " optimizer: unknown " + std::string(Family::kTitle) +
+           " entry '" + std::string(optimizer) + "'";
   }
-  return "err " + id + " parse: unknown instance family '" +
-         std::string(family) + "' (expected qon or qoh)";
+  BatchOptions options = configured;
+  options.cache = cache;
+  options.pool = nullptr;  // single instance; optimizer-level pool below
+  options.deadline_ms = deadline_ms;
+  typename Family::Options& knobs = Family::Knobs(options);
+  Family::SetPool(&knobs, pool);
+  bool degraded = false;
+  if (governor != nullptr && governor->armed()) {
+    typename Family::Options degraded_knobs = knobs;
+    const typename Family::Entry& fallback =
+        Degrade(Family::Registry(), *entry, &degraded_knobs);
+    OverloadDecision d =
+        governor->OnArrival(EstimateCostUnits(*entry, knobs, n),
+                            EstimateCostUnits(fallback, degraded_knobs, n));
+    if (d.tier == OverloadTier::kShed) {
+      shed_counter.Increment();
+      LogOverloadDecision(id, d, entry->name, fallback.name);
+      return "err " + id + " shed: " + d.reason;
+    }
+    if (d.tier == OverloadTier::kDegrade) {
+      degrade_counter.Increment();
+      LogOverloadDecision(id, d, entry->name, fallback.name);
+      entry = &fallback;
+      knobs = degraded_knobs;
+      degraded = true;
+    }
+  }
+  options.optimizer = entry->name;
+  std::string domain = EntryDomainError(*entry, knobs, inst);
+  if (!domain.empty()) return DomainError(id, Family::kName, domain);
+  const auto items = OptimizeBatch<Family>({inst}, options);
+  const auto& item = items.front();
+  if (item.from_cache) cache_hits.Increment();
+  return FormatOk(id, Family::kName, item.result, degraded,
+                  Family::Pipelines(item.result));
+}
+
+// Startup check of a configured --optimizer / --qoh-optimizer name.
+template <typename Family>
+bool KnownOptimizer(const std::string& name) {
+  if (Family::Registry().Find(name) != nullptr) return true;
+  std::cerr << "error: unknown " << Family::kTitle << " optimizer '" << name
+            << "'\n";
+  return false;
 }
 
 int Main(int argc, char** argv) {
@@ -370,15 +333,8 @@ int Main(int argc, char** argv) {
     std::cerr << "aqo_serve: armed fault " << site << "@" << rest
               << " x" << times << "\n";
   }
-  if (OptimizerRegistry::Qon().Find(config.qon_batch.optimizer) == nullptr) {
-    std::cerr << "error: unknown QO_N optimizer '"
-              << config.qon_batch.optimizer << "'\n";
-    return 2;
-  }
-  if (QohOptimizerRegistry::Get().Find(config.qoh_batch.optimizer) ==
-      nullptr) {
-    std::cerr << "error: unknown QO_H optimizer '"
-              << config.qoh_batch.optimizer << "'\n";
+  if (!KnownOptimizer<QonFamily>(config.qon_batch.optimizer) ||
+      !KnownOptimizer<QohFamily>(config.qoh_batch.optimizer)) {
     return 2;
   }
 
@@ -510,10 +466,24 @@ int Main(int argc, char** argv) {
       if (!header.error.empty()) {
         response = "err " + id + " " + header.error;
       } else {
-        response = ServeOptimize(
-            id, header.deadline_ms.value_or(config.default_deadline_ms),
-            header.optimizer, header.family, header.body, config, &cache,
-            &pool, &governor);
+        const double deadline_ms =
+            header.deadline_ms.value_or(config.default_deadline_ms);
+        // The one per-family branch: the body's first line picks the
+        // parser and the family the request runs under.
+        if (header.family == "qon") {
+          response = ServeOptimize<QonFamily>(
+              id, deadline_ms, header.optimizer,
+              ParseQonInstance(header.body), config.qon_batch, config,
+              &cache, &pool, &governor);
+        } else if (header.family == "qoh") {
+          response = ServeOptimize<QohFamily>(
+              id, deadline_ms, header.optimizer,
+              ParseQohInstance(header.body), config.qoh_batch, config,
+              &cache, &pool, &governor);
+        } else {
+          response = "err " + id + " parse: unknown instance family '" +
+                     std::string(header.family) + "' (expected qon or qoh)";
+        }
       }
       ++served;
       ++since_snapshot;
